@@ -59,6 +59,14 @@ def _require(obj: dict, key: str, kind, what: str):
     return value
 
 
+def _optional_int(obj: dict, key: str, what: str) -> Optional[int]:
+    value = obj.get(key)
+    if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+        raise TranscriptFormatError(f"{what}.{key}: expected integer or null, "
+                                    f"got {value!r}")
+    return value
+
+
 def _int_list(values, what: str) -> tuple[int, ...]:
     if not isinstance(values, list):
         raise TranscriptFormatError(f"{what}: expected a list")
@@ -124,7 +132,9 @@ def serialize_transcript(t: Transcript) -> str:
 def parse_transcript(text: str) -> Transcript:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers over CPython's
+        # digit limit; RecursionError covers nesting too deep to decode.
         raise TranscriptFormatError(f"not JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise TranscriptFormatError("top level must be an object")
@@ -195,9 +205,11 @@ def parse_transcript(text: str) -> Transcript:
     abort = obj.get("abort")
     if abort is not None and not isinstance(abort, str):
         raise TranscriptFormatError("abort must be null or a string")
-    seeds = obj.get("seeds") or {}
-    alice_seed = seeds.get("alice")
-    bob_seed = seeds.get("bob")
+    seeds = {} if obj.get("seeds") is None else obj["seeds"]
+    if not isinstance(seeds, dict):
+        raise TranscriptFormatError("seeds must be null or an object")
+    alice_seed = _optional_int(seeds, "alice", "seeds")
+    bob_seed = _optional_int(seeds, "bob", "seeds")
 
     return Transcript(params=params, rounds=tuple(rounds), unveils=tuple(unveils),
                       aggregation=aggregation, abort=abort,

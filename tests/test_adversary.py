@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 import pytest
 
-from rbc.adversary import (OffsetGuessAlice, OracleBudgetError,
+from rbc.adversary import (_ORACLE_ATTACH_OPS, OffsetGuessAlice,
+                           OracleBudgetError, _best_position_flip_probability,
+                           _flip_weight_distribution, _oracle_cost_estimate,
                            optimal_flip_success, run_attack, strategy_by_name)
 from rbc.codec import binary_form
 from rbc.netsim import replay_decisions, simulate
@@ -16,6 +19,50 @@ from mutations import with_unveil
 
 def three_sigma(p: Fraction, n: int) -> float:
     return 3 * (float(p) * (1 - float(p)) / n) ** 0.5
+
+
+# Independent reference for the oracle's composition step: level-by-level
+# convolution of the flip chain's Hamming-weight distributions.
+
+def _convolve(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+    out: dict[int, Fraction] = {}
+    for ha, pa in a.items():
+        for hb, pb in b.items():
+            out[ha + hb] = out.get(ha + hb, Fraction(0)) + pa * pb
+    return out
+
+
+def convolution_flip_success(m: int, last_round: int) -> Fraction:
+    q = _best_position_flip_probability(1 << m)
+    if last_round == 1:
+        return q
+
+    weight_dist = _flip_weight_distribution(m)
+    level_dist = dict(weight_dist)
+    for _ in range(3, last_round + 1):
+        # Each flipped number at the previous level forces an independent
+        # flip pattern at this level; convolve per weight.
+        powers: dict[int, dict[int, Fraction]] = {0: {0: Fraction(1)}}
+        acc: dict[int, Fraction] = {}
+        running = {0: Fraction(1)}
+        for h in range(1, max(level_dist) + 1):
+            running = _convolve(running, weight_dist)
+            powers[h] = running
+        for h, p in level_dist.items():
+            for total, pt in powers[h].items():
+                acc[total] = acc.get(total, Fraction(0)) + p * pt
+        level_dist = acc
+
+    return sum((p * q ** h for h, p in level_dist.items()), Fraction(0))
+
+
+def convolution_cost_estimate(m: int, last_round: int) -> int:
+    """The convolution method's cost estimate, which set the attach rule."""
+    modulus = 1 << m
+    est = modulus ** 4 + modulus ** 3
+    for level in range(3, last_round + 1):
+        est += (m ** (level - 2)) ** 2 * m * m
+    return est
 
 
 class TestOracle:
@@ -31,16 +78,33 @@ class TestOracle:
     def test_three_rounds_exact_value(self):
         assert optimal_flip_success(2, 3) == Fraction(427, 2187)
 
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_bounded_by_two_over_modulus(self, m):
-        for rounds in (1, 2, 3):
+        for rounds in range(1, 7):
             assert optimal_flip_success(m, rounds) <= Fraction(2, 1 << m)
 
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_monotone_non_increasing_in_rounds(self, m):
-        values = [optimal_flip_success(m, r) for r in (1, 2, 3)]
+        values = [optimal_flip_success(m, r) for r in range(1, 7)]
         assert values == sorted(values, reverse=True)
-        assert values[0] > values[1] > values[2]
+        assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("m, rounds",
+                             [(m, r) for m in (2, 3, 4) for r in range(1, 6)]
+                             + [(5, r) for r in range(1, 4)])
+    def test_composition_matches_convolution_reference(self, m, rounds):
+        assert optimal_flip_success(m, rounds) == convolution_flip_success(m, rounds)
+
+    def test_benchmark_grid_fits_default_budget(self):
+        max_ops = inspect.signature(optimal_flip_success).parameters["max_ops"].default
+        for m, rounds in ((6, 1), (6, 2), (5, 5), (3, 7)):
+            assert _oracle_cost_estimate(m, rounds) <= max_ops
+
+    def test_every_instance_attached_before_still_attaches(self):
+        for m in range(2, 8):
+            for rounds in range(1, 21):
+                if convolution_cost_estimate(m, rounds) <= _ORACLE_ATTACH_OPS:
+                    assert _oracle_cost_estimate(m, rounds) <= _ORACLE_ATTACH_OPS
 
     def test_budget_refusal_carries_estimate(self):
         with pytest.raises(OracleBudgetError) as err:
@@ -111,6 +175,11 @@ class TestMonteCarlo:
         bound = 2 / 16
         assert float(outcome.success_rate) <= bound + three_sigma(
             Fraction(2, 16), 2000)
+
+    def test_oracle_attached_at_m4_r6(self):
+        p = ProtocolParams(4, "1", "0.005", "0.01")
+        outcome = run_attack(p, 6, "offset-guess", 1, 108)
+        assert outcome.oracle_rate == optimal_flip_success(4, 6)
 
     def test_honest_relabel_always_succeeds(self, params_m2):
         outcome = run_attack(params_m2, 2, "honest-relabel", 100, 103)

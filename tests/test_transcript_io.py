@@ -134,6 +134,39 @@ class TestParseErrors:
         with pytest.raises(TranscriptFormatError):
             parse_transcript(json.dumps(obj))
 
+    def test_rejects_integer_over_digit_limit(self, params_m2):
+        # json.loads raises a bare ValueError past CPython's 4,300 digits
+        obj = self.good_obj(params_m2)
+        obj["params"]["m"] = "BIG"
+        text = json.dumps(obj).replace('"BIG"', "9" * 4301)
+        with pytest.raises(TranscriptFormatError):
+            parse_transcript(text)
+
+    def test_rejects_deep_nesting(self):
+        # json.loads raises RecursionError on nesting this deep
+        with pytest.raises(TranscriptFormatError):
+            parse_transcript("[" * 100000)
+
+    @pytest.mark.parametrize("seeds", [5, "x", [1, 2], True])
+    def test_rejects_non_object_seeds(self, params_m2, seeds):
+        obj = self.good_obj(params_m2)
+        obj["seeds"] = seeds
+        with pytest.raises(TranscriptFormatError):
+            parse_transcript(json.dumps(obj))
+
+    @pytest.mark.parametrize("seed", ["hello", 1.5, True, [], {}])
+    def test_rejects_non_integer_seed(self, params_m2, seed):
+        obj = self.good_obj(params_m2)
+        obj["seeds"]["alice"] = seed
+        with pytest.raises(TranscriptFormatError):
+            parse_transcript(json.dumps(obj))
+
+    def test_null_seeds_parse_as_unknown(self, params_m2):
+        obj = self.good_obj(params_m2)
+        obj["seeds"] = None
+        parsed = parse_transcript(json.dumps(obj))
+        assert parsed.alice_seed is None and parsed.bob_seed is None
+
     def test_semantic_problems_parse_fine(self, params_m2):
         # out-of-range residues and bad geometry are the verifier's business
         obj = self.good_obj(params_m2)
