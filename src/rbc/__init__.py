@@ -12,7 +12,7 @@ oracles, and channel-capacity accounting.
 from .adversary import (AttackOutcome, OffsetGuessAlice, OracleBudgetError,
                         offset_guess_reveal, optimal_flip_success, run_attack)
 from .agents import (AliceState, BobState, UnveilMessage, alice_response,
-                     alice_unveil, bob_challenge, make_tape)
+                     bob_challenge, make_tape)
 from .analysis import (CapacityReport, capacity_report, max_practical_rounds,
                        round_traffic_bits, tape_consumed)
 from .codec import (CommitResponse, Pair, PairChallenge, RandomTape,
@@ -23,10 +23,10 @@ from .netsim import (CausalView, HonestAlice, RoundRecord, SimResult,
                      replay_decisions, run_protocol, simulate)
 from .rng import GENERATOR_ID, Stream, derive_seed
 from .spacetime import (GeometryError, ProtocolParams, SpacetimeEvent,
-                        as_exact, exact_str, min_cross_delay, period,
-                        round_site, round_window, spacelike, unveil_deadline)
+                        as_exact, exact_str, min_cross_delay, round_site,
+                        round_window, spacelike, unveil_deadline)
 from .transcript_io import (TranscriptFormatError, parse_transcript,
                             serialize_transcript)
-from .verifier import Verdict, backward_decode, dual_unveil_check, verify
+from .verifier import Verdict, backward_decode, verify
 
 __version__ = "1.0.0"

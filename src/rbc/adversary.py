@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .agents import AliceState, alice_response
+from .agents import alice_response, round_bits
 from .codec import binary_form
 from .netsim import (AlicePrivate, CausalView, HonestAlice, simulate)
 from .rng import Stream, derive_seed
@@ -64,14 +64,13 @@ def _known_rounds(view: CausalView, last_round: int,
     which the schedule guarantees have arrived by the unveil time for every
     round up to R-2.
     """
-    state = AliceState(priv.bit, priv.tape, priv.planned_rounds)
     known = {}
     for k in range(1, last_round):
         if round_site(k) == view.site:
             challenge = view.challenge_for(k)
             if challenge is None:
                 raise LookupError(f"round {k} challenge missing from causal view")
-            response = alice_response(k, challenge, state, priv.params)
+            response = alice_response(k, challenge, priv.state, priv.params)
             known[k] = (challenge.pairs, response.values)
         else:
             relay = view.relay_for(k)
@@ -91,13 +90,13 @@ def offset_guess_reveal(view: CausalView, last_round: int, target_bit: int,
     """
     params = priv.params
     m, modulus = params.m, params.modulus
-    true_keys = priv.tape.segment(last_round, m)
+    true_keys = priv.state.tape.segment(last_round, m)
     guesses = Stream(derive_seed(priv.cheat_seed, "unveil", last_round, view.site))
 
     if last_round == 1:
         # Round 1 happened at the other site: the needed key is the response
         # minus the hidden pair member, so the whole offset is a guess.
-        if target_bit == priv.bit:
+        if target_bit == priv.state.committed_bit:
             return true_keys
         return ((true_keys[0] + guesses.nonzero_residue(modulus)) % modulus,)
 
@@ -116,9 +115,7 @@ def offset_guess_reveal(view: CausalView, last_round: int, target_bit: int,
     target_bits: list[int] = []
     for key in needed_keys:
         target_bits.extend(binary_form(key, m))
-    true_bits: list[int] = []
-    for key in priv.tape.segment(last_round - 1, m):
-        true_bits.extend(binary_form(key, m))
+    true_bits = round_bits(last_round, priv.state, m)
 
     revealed = []
     for j, true_key in enumerate(true_keys):
@@ -129,7 +126,7 @@ def offset_guess_reveal(view: CausalView, last_round: int, target_bit: int,
     return tuple(revealed)
 
 
-class OffsetGuessAlice:
+class OffsetGuessAlice(HonestAlice):
     """Respond honestly, relay between sites, forge the unveil.
 
     target_bit = None flips the committed bit, the canonical attack.
@@ -141,12 +138,10 @@ class OffsetGuessAlice:
     def __init__(self, target_bit: Optional[int] = None):
         self.target_bit = target_bit
 
-    def respond(self, view: CausalView, k: int, priv: AlicePrivate) -> tuple[int, ...]:
-        return HonestAlice().respond(view, k, priv)
-
     def unveil(self, view: CausalView, last_round: int,
                priv: AlicePrivate) -> tuple[int, ...]:
-        target = (1 - priv.bit) if self.target_bit is None else self.target_bit
+        bit = priv.state.committed_bit
+        target = (1 - bit) if self.target_bit is None else self.target_bit
         return offset_guess_reveal(view, last_round, target, priv)
 
 
@@ -317,12 +312,11 @@ def run_attack(params: ProtocolParams, rounds: int, strategy_name: str,
         raise ValueError("trials must be >= 1")
     if strategy_name not in ("offset-guess", "honest-relabel"):
         raise ValueError(f"unknown attack strategy {strategy_name!r}")
+    strategy = strategy_by_name(strategy_name)
     successes = 0
     for i in range(trials):
         bit = Stream(derive_seed(seed, "trial", i, "bit")).bit()
         target = bit if strategy_name == "honest-relabel" else 1 - bit
-        strategy = (HonestRelabelAlice() if strategy_name == "honest-relabel"
-                    else OffsetGuessAlice())
         result = simulate(params, rounds, bit,
                           derive_seed(seed, "trial", i, "alice"),
                           derive_seed(seed, "trial", i, "bob"),

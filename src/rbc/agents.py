@@ -3,13 +3,14 @@
 Bob's agents (one per site) issue challenge pairs from per-(site, round)
 seeded streams, so their randomness never depends on anything Alice sends
 and any round's challenge can be replayed in isolation.  Alice's agents
-share one pre-materialized random tape and a committed bit; responses and
-unveils are deterministic functions of those plus the received challenge.
+share one pre-materialized random tape and a committed bit; responses are
+deterministic functions of those plus the received challenge.
 
-The unveiler is always the Alice at the site opposite round R.  The honest
-unveil completes at (R-1)*T + delta_t + intra_delay, mirroring when her
-response would complete were round R at her own site; this leaves margin
-T + delta_t before the causal deadline for default intra delay.
+Unveiling is run by the simulator (``netsim``): the Alice at the site
+opposite round R reveals round R's tape segment (``HonestAlice.unveil``)
+at honest_unveil_time, (R-1)*T + delta_t + intra_delay.  That mirrors when
+her response would complete were round R at her own site, and leaves
+margin T + delta_t before the causal deadline for default intra delay.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .codec import (CommitResponse, Pair, PairChallenge, RandomTape,
-                    commit_round, round_payload_bits, segment_bounds)
+                    commit_round, round_payload_bits)
 from .rng import Stream, derive_seed
-from .spacetime import ProtocolParams, round_site, unveil_deadline
+from .spacetime import ProtocolParams
 from .analysis import tape_consumed
 
 
@@ -37,12 +38,6 @@ class AliceState:
             raise ValueError("committed bit must be 0 or 1")
         if self.planned_rounds < 1:
             raise ValueError("planned_rounds must be >= 1")
-
-    def check_tape(self, m: int) -> None:
-        need = tape_consumed(m, self.planned_rounds)
-        if len(self.tape.values) < need:
-            raise ValueError(f"tape too short: need {need} values for "
-                             f"{self.planned_rounds} rounds, have {len(self.tape.values)}")
 
 
 @dataclass
@@ -108,41 +103,3 @@ def alice_response(k: int, challenge: PairChallenge, state: AliceState,
 def honest_unveil_time(params: ProtocolParams, last_round: int) -> Fraction:
     """Earliest-safe unveil completion: mirror of the round-R response time."""
     return (last_round - 1) * params.period + params.delta_t + params.intra_delay
-
-
-def alice_unveil(last_round: int, state: AliceState, params: ProtocolParams,
-                 site: int | None = None) -> UnveilMessage:
-    """Unveil after round R by revealing round R's tape segment.
-
-    Only the Alice at site 3 - round_site(R) may emit the primary unveil;
-    an explicit wrong site is rejected.  The message completion time must
-    stay strictly before unveil_deadline, which holds for all valid params.
-    """
-    unveiler = 3 - round_site(last_round)
-    if site is not None and site != unveiler:
-        raise ValueError(f"round {last_round} unveil must come from site {unveiler}, "
-                         f"not site {site}")
-    if last_round > state.planned_rounds:
-        raise ValueError("cannot unveil beyond the planned round count")
-    revealed = state.tape.segment(last_round, params.m)
-    completes = honest_unveil_time(params, last_round)
-    assert completes < unveil_deadline(params, last_round)
-    return UnveilMessage(round=last_round, revealed=revealed,
-                         site=unveiler, completes_at=completes)
-
-
-def partner_unveil(last_round: int, state: AliceState,
-                   params: ProtocolParams) -> UnveilMessage:
-    """Dual-mode second unveil, from the round-R site itself.
-
-    Emitted at the same instant as the primary (distinct sites, zero time
-    difference, hence spacelike), revealing the identical segment.
-    """
-    segment = state.tape.segment(last_round, params.m)
-    return UnveilMessage(round=last_round, revealed=segment,
-                         site=round_site(last_round),
-                         completes_at=honest_unveil_time(params, last_round))
-
-
-def expected_unveil_length(last_round: int, m: int) -> int:
-    return segment_bounds(last_round, m)[1]

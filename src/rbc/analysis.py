@@ -88,30 +88,27 @@ def max_practical_rounds(m: int, delta_x: Scalar, delta: Scalar, delta_t: Scalar
                          baud: Scalar) -> int:
     """Largest R whose round-R traffic fits in one period at the given rate.
 
-    Returns 0 when even round 1 does not fit.  Traffic grows by a factor m
-    per round, so the search is a short exact-integer walk.
+    Returns 0 when even round 1 does not fit.
+    """
+    return capacity_report(m, delta_x, delta, delta_t, baud).max_rounds
+
+
+def capacity_report(m: int, delta_x: Scalar, delta: Scalar, delta_t: Scalar,
+                    baud: Scalar) -> CapacityReport:
+    """Full accounting: max rounds plus the traffic table up to first misfit.
+
+    Traffic grows by a factor m per round, so finding the max is a short
+    exact-integer walk.
     """
     params = ProtocolParams(m, delta_x, delta, delta_t)
     rate = as_exact(baud)
     if rate <= 0:
         raise ValueError("baud must be > 0")
     budget = rate * params.period
-    r = 0
-    while round_traffic_bits(m, r + 1) <= budget:
-        r += 1
-    return r
-
-
-def capacity_report(m: int, delta_x: Scalar, delta: Scalar, delta_t: Scalar,
-                    baud: Scalar) -> CapacityReport:
-    """Full accounting: max rounds plus the traffic table up to first misfit."""
-    params = ProtocolParams(m, delta_x, delta, delta_t)
-    rate = as_exact(baud)
-    if rate <= 0:
-        raise ValueError("baud must be > 0")
-    budget = rate * params.period
-    max_rounds = max_practical_rounds(m, delta_x, delta, delta_t, baud)
-    rows = tuple((k, round_traffic_bits(m, k), round_traffic_bits(m, k) <= budget)
+    max_rounds = 0
+    while round_traffic_bits(m, max_rounds + 1) <= budget:
+        max_rounds += 1
+    rows = tuple((k, round_traffic_bits(m, k), k <= max_rounds)
                  for k in range(1, max_rounds + 2))
     tape_used = tape_consumed(m, max_rounds) if max_rounds >= 1 else 0
     return CapacityReport(m=m, delta_x=params.delta_x, delta=params.delta,

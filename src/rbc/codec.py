@@ -39,10 +39,6 @@ class Pair:
     def member(self, bit: int) -> int:
         return self.n1 if bit else self.n0
 
-    @property
-    def distinct(self) -> bool:
-        return self.n0 != self.n1
-
 
 @dataclass(frozen=True)
 class PairChallenge:
@@ -74,8 +70,23 @@ class RandomTape:
         return self.values[start:start + count]
 
 
+def first_non_residue(values: Sequence[int], modulus: int) -> Optional[int]:
+    """Index of the first entry that is not an int in [0, modulus), or None.
+
+    A residue's type must be exactly int, so bool and other int subclasses
+    are refused.  The all-valid case is settled by C-level passes.
+    """
+    if not values or ({*map(type, values)} == {int}
+                      and min(values) >= 0 and max(values) < modulus):
+        return None
+    for j, v in enumerate(values):
+        if type(v) is not int or not 0 <= v < modulus:
+            return j
+    return None
+
+
 def _check_residue(value: int, modulus: int, what: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < modulus:
+    if type(value) is not int or not 0 <= value < modulus:
         raise ValueError(f"{what} must be an integer in [0, {modulus})")
 
 

@@ -18,13 +18,13 @@ not raised.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .agents import (AliceState, BobState, UnveilMessage, alice_response,
-                     expected_unveil_length, honest_unveil_time, make_tape)
-from .codec import CommitResponse, PairChallenge, RandomTape
+                     honest_unveil_time, make_tape)
+from .codec import CommitResponse, PairChallenge, first_non_residue
 from .rng import derive_seed
 from .spacetime import (ProtocolParams, SpacetimeEvent, min_cross_delay,
                         round_site, round_window, unveil_deadline)
@@ -116,10 +116,16 @@ class AlicePrivate:
     """Pre-agreed private inputs both Alice agents hold before t = 0."""
 
     params: ProtocolParams
-    bit: int
-    tape: RandomTape
-    planned_rounds: int
+    state: AliceState
     cheat_seed: int
+
+
+def _alice_private(params: ProtocolParams, rounds: int, bit: int,
+                   alice_seed: int) -> AlicePrivate:
+    """Alice's secrets for one run, all derived from her seed."""
+    state = AliceState(bit, make_tape(params.m, rounds, alice_seed), rounds)
+    return AlicePrivate(params=params, state=state,
+                        cheat_seed=derive_seed(alice_seed, "alice", "cheat"))
 
 
 class HonestAlice:
@@ -132,12 +138,11 @@ class HonestAlice:
         challenge = view.challenge_for(k)
         if challenge is None:
             raise ValueError(f"round {k} challenge not in causal view")
-        state = AliceState(priv.bit, priv.tape, priv.planned_rounds)
-        return alice_response(k, challenge, state, priv.params).values
+        return alice_response(k, challenge, priv.state, priv.params).values
 
     def unveil(self, view: CausalView, last_round: int,
                priv: AlicePrivate) -> tuple[int, ...]:
-        return priv.tape.segment(last_round, priv.params.m)
+        return priv.state.tape.segment(last_round, priv.params.m)
 
 
 @dataclass(frozen=True)
@@ -207,9 +212,9 @@ def _validate_values(values, count: int, modulus: int, what: str) -> tuple[int, 
     values = tuple(values)
     if len(values) != count:
         raise _Abort(f"{what}: expected {count} values, got {len(values)}")
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < modulus:
-            raise _Abort(f"{what}: value {v!r} outside [0, {modulus})")
+    j = first_non_residue(values, modulus)
+    if j is not None:
+        raise _Abort(f"{what}: value {values[j]!r} outside [0, {modulus})")
     return values
 
 
@@ -227,11 +232,12 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
         raise ValueError("rounds must be >= 1")
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
+    for name, seed in (("alice_seed", alice_seed), ("bob_seed", bob_seed)):
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
     strategy = resolve_strategy(strategy)
 
-    tape = make_tape(params.m, rounds, alice_seed)
-    priv = AlicePrivate(params=params, bit=bit, tape=tape, planned_rounds=rounds,
-                        cheat_seed=derive_seed(alice_seed, "alice", "cheat"))
+    priv = _alice_private(params, rounds, bit, alice_seed)
     bobs = {site: BobState(site=site, seed=bob_seed) for site in (1, 2)}
 
     log: list[TimedMessage] = []
@@ -307,7 +313,7 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
         log_size = len(log)
         view = causal_view(site, now, log)
         revealed = _validate_values(strategy.unveil(view, rounds, priv),
-                                    expected_unveil_length(rounds, params.m),
+                                    params.m ** (rounds - 1),
                                     params.modulus, "unveil")
         decisions.append(Decision("unveil", site, now, rounds, view, revealed,
                                   log_size))
@@ -328,16 +334,12 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
     except _Abort as stop:
         abort = stop.reason
 
-    ordered = tuple(records[k] for k in sorted(records))
-    transcript = Transcript(params=params, rounds=ordered, unveils=tuple(unveils),
-                            aggregation=None, abort=abort,
+    transcript = Transcript(params=params,
+                            rounds=tuple(records[k] for k in sorted(records)),
+                            unveils=tuple(unveils), aggregation=None, abort=abort,
                             alice_seed=alice_seed, bob_seed=bob_seed)
     if abort is None and unveils:
-        transcript = Transcript(params=params, rounds=ordered,
-                                unveils=tuple(unveils),
-                                aggregation=aggregate_event(transcript),
-                                abort=None, alice_seed=alice_seed,
-                                bob_seed=bob_seed)
+        transcript = replace(transcript, aggregation=aggregate_event(transcript))
     return SimResult(transcript=transcript, messages=tuple(log),
                      decisions=tuple(decisions), strategy_name=strategy.name,
                      bit=bit, planned_rounds=rounds)
@@ -353,12 +355,10 @@ def run_protocol(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
 
 
 def resolve_strategy(strategy):
-    """Accept a strategy object or one of the registered names."""
-    if strategy is None or strategy == "honest":
-        return HonestAlice()
-    if isinstance(strategy, str):
+    """Accept a strategy object or one of the registered names (None: honest)."""
+    if strategy is None or isinstance(strategy, str):
         from . import adversary
-        return adversary.strategy_by_name(strategy)
+        return adversary.strategy_by_name("honest" if strategy is None else strategy)
     return strategy
 
 
@@ -373,10 +373,8 @@ def replay_decisions(result: SimResult) -> None:
     """
     t = result.transcript
     strategy = resolve_strategy(result.strategy_name)
-    tape = make_tape(t.params.m, result.planned_rounds, t.alice_seed)
-    priv = AlicePrivate(params=t.params, bit=result.bit, tape=tape,
-                        planned_rounds=result.planned_rounds,
-                        cheat_seed=derive_seed(t.alice_seed, "alice", "cheat"))
+    priv = _alice_private(t.params, result.planned_rounds, result.bit,
+                          t.alice_seed)
     for decision in result.decisions:
         for msg in decision.view.messages:
             assert msg.destination == decision.site, "view leaked another site"

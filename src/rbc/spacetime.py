@@ -121,13 +121,11 @@ class ProtocolParams:
         object.__setattr__(self, "delta_x", as_exact(delta_x))
         object.__setattr__(self, "delta", as_exact(delta))
         object.__setattr__(self, "delta_t", as_exact(delta_t))
-        problems = params_problems(self.m, self.delta_x, self.delta, self.delta_t)
+        object.__setattr__(self, "intra_delay", self.delta if intra_delay is None
+                           else as_exact(intra_delay))
+        problems = self.problems()
         if problems:
             raise GeometryError("; ".join(problems))
-        intra = self.delta if intra_delay is None else as_exact(intra_delay)
-        if not (0 <= intra <= 2 * self.delta):
-            raise GeometryError("intra_delay must lie in [0, 2*delta]")
-        object.__setattr__(self, "intra_delay", intra)
 
     @staticmethod
     def unchecked(m: object, delta_x: Fraction, delta: Fraction, delta_t: Fraction,
@@ -170,11 +168,6 @@ class SpacetimeEvent:
             raise ValueError("event time must be >= 0")
         if self.site not in (1, 2):
             raise ValueError("site must be 1 or 2")
-
-
-def period(params: ProtocolParams) -> Fraction:
-    """Round period T = delta_x - 2*delta_t - 3*delta."""
-    return params.period
 
 
 def min_cross_delay(params: ProtocolParams) -> Fraction:

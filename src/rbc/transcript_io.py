@@ -59,11 +59,11 @@ def _require(obj: dict, key: str, kind, what: str):
     return value
 
 
-def _optional_int(obj: dict, key: str, what: str) -> Optional[int]:
-    value = obj.get(key)
-    if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-        raise TranscriptFormatError(f"{what}.{key}: expected integer or null, "
-                                    f"got {value!r}")
+def _optional_seed(seeds: dict, key: str) -> Optional[int]:
+    value = seeds.get(key)
+    if value is not None and (type(value) is not int or not 0 <= value < 1 << 64):
+        raise TranscriptFormatError(f"seeds.{key}: expected an integer in "
+                                    f"[0, 2**64) or null, got {value!r}")
     return value
 
 
@@ -208,8 +208,8 @@ def parse_transcript(text: str) -> Transcript:
     seeds = {} if obj.get("seeds") is None else obj["seeds"]
     if not isinstance(seeds, dict):
         raise TranscriptFormatError("seeds must be null or an object")
-    alice_seed = _optional_int(seeds, "alice", "seeds")
-    bob_seed = _optional_int(seeds, "bob", "seeds")
+    alice_seed = _optional_seed(seeds, "alice")
+    bob_seed = _optional_seed(seeds, "bob")
 
     return Transcript(params=params, rounds=tuple(rounds), unveils=tuple(unveils),
                       aggregation=aggregation, abort=abort,

@@ -16,11 +16,11 @@ moment Bob actually holds all the data in one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .codec import decode_one, from_binary
+from .codec import decode_one, first_non_residue, from_binary
 from .netsim import RoundRecord, Transcript, aggregate_event
 from .spacetime import (SpacetimeEvent, round_site, round_window, spacelike,
                         unveil_deadline)
@@ -98,20 +98,22 @@ def _shape_problem(transcript: Transcript) -> Optional[Verdict]:
             return _reject(COUNT_MISMATCH, f"round {k} carries {len(rec.pairs)} "
                            f"pairs, expected {expected}")
         for j, pair in enumerate(rec.pairs):
-            if not (0 <= pair.n0 < modulus and 0 <= pair.n1 < modulus):
+            n0, n1 = pair.n0, pair.n1
+            if not (type(n0) is int and type(n1) is int
+                    and 0 <= n0 < modulus and 0 <= n1 < modulus):
                 return _reject(RANGE_ERROR, f"round {k} pair {j} member outside "
                                f"[0, {modulus})", position=(k, j))
-            if pair.n0 == pair.n1:
+            if n0 == n1:
                 return _reject(DUPLICATE_PAIR_MEMBERS,
                                f"round {k} pair {j} members are equal",
                                position=(k, j))
         if len(rec.values) != expected:
             return _reject(COUNT_MISMATCH, f"round {k} carries {len(rec.values)} "
                            f"response values, expected {expected}")
-        for j, value in enumerate(rec.values):
-            if not 0 <= value < modulus:
-                return _reject(RANGE_ERROR, f"round {k} response {j} outside "
-                               f"[0, {modulus})", position=(k, j))
+        j = first_non_residue(rec.values, modulus)
+        if j is not None:
+            return _reject(RANGE_ERROR, f"round {k} response {j} outside "
+                           f"[0, {modulus})", position=(k, j))
     last = transcript.last_round
     expected = params.m ** (last - 1)
     for u in transcript.unveils:
@@ -123,10 +125,10 @@ def _shape_problem(transcript: Transcript) -> Optional[Verdict]:
         if len(u.revealed) != expected:
             return _reject(COUNT_MISMATCH, f"unveil reveals {len(u.revealed)} "
                            f"values, expected {expected}")
-        for j, value in enumerate(u.revealed):
-            if not 0 <= value < modulus:
-                return _reject(RANGE_ERROR, f"revealed value {j} outside "
-                               f"[0, {modulus})", position=(last, j))
+        j = first_non_residue(u.revealed, modulus)
+        if j is not None:
+            return _reject(RANGE_ERROR, f"revealed value {j} outside "
+                           f"[0, {modulus})", position=(last, j))
     return None
 
 
@@ -197,19 +199,15 @@ def verify(transcript: Transcript) -> Verdict:
         # checks below reject such transcripts, just without a timestamp
         issued_at = None
 
-    verdict = _shape_problem(transcript)
+    verdict = _shape_problem(transcript) or _timing_problem(transcript)
     if verdict is not None:
-        return _with_time(verdict, issued_at)
-    verdict = _timing_problem(transcript)
-    if verdict is not None:
-        return _with_time(verdict, issued_at)
+        return replace(verdict, issued_at=issued_at)
 
     if len(transcript.unveils) == 2:
         a, b = transcript.unveils
         if a.revealed != b.revealed:
-            return _with_time(_reject(DECODE_MISMATCH,
-                                      "dual unveils reveal different lists"),
-                              issued_at)
+            return _reject(DECODE_MISMATCH, "dual unveils reveal different lists",
+                           issued_at=issued_at)
     bit, position = backward_decode(transcript.rounds,
                                     transcript.unveils[0].revealed,
                                     transcript.params.m)
@@ -219,16 +217,3 @@ def verify(transcript: Transcript) -> Verdict:
                        f"position {position[1]}", issued_at=issued_at,
                        position=position)
     return Verdict(outcome="accept", bit=bit, issued_at=issued_at)
-
-
-def dual_unveil_check(transcript: Transcript) -> Verdict:
-    """Verify a transcript that must carry both Alices' unveilings."""
-    if len(transcript.unveils) != 2:
-        raise ValueError("dual_unveil_check requires exactly two unveil messages")
-    return verify(transcript)
-
-
-def _with_time(verdict: Verdict, issued_at) -> Verdict:
-    return Verdict(outcome=verdict.outcome, bit=verdict.bit, reason=verdict.reason,
-                   detail=verdict.detail, reject_position=verdict.reject_position,
-                   issued_at=issued_at)

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rbc.agents import (AliceState, BobState, alice_response, alice_unveil,
-                        bob_challenge, honest_unveil_time, make_tape,
-                        partner_unveil)
+from rbc.agents import (AliceState, BobState, alice_response, bob_challenge,
+                        honest_unveil_time, make_tape)
 from rbc.codec import Pair, PairChallenge, RandomTape, decode_one
+from rbc.netsim import simulate
 from rbc.rng import Stream, derive_seed
 from rbc.spacetime import unveil_deadline
 
@@ -92,31 +92,25 @@ class TestAliceResponse:
 
 
 class TestAliceUnveil:
+    """Honest unveiling as the simulator runs it."""
+
     def test_round_one_reveals_first_key(self, params_m2):
-        state = AliceState(0, RandomTape((3,)), 1)
-        msg = alice_unveil(1, state, params_m2)
-        assert msg.revealed == (3,)
-        assert msg.site == 2
+        unveil, = simulate(params_m2, 1, 0, 7, 8).transcript.unveils
+        assert unveil.revealed == make_tape(2, 1, 7).values[:1]
+        assert unveil.site == 2
 
     def test_round_three_reveals_segment(self, params_m2):
-        state = AliceState(1, RandomTape(tuple(v % 4 for v in range(7))), 3)
-        msg = alice_unveil(3, state, params_m2)
-        assert msg.revealed == state.tape.values[3:7]
-        assert len(msg.revealed) == 4
+        unveil, = simulate(params_m2, 3, 1, 7, 8).transcript.unveils
+        assert unveil.revealed == make_tape(2, 3, 7).values[3:7]
+        assert len(unveil.revealed) == 4
 
     def test_unveiler_site_for_round_two(self, params_m2):
-        state = AliceState(1, RandomTape((0, 1, 2)), 2)
-        assert alice_unveil(2, state, params_m2).site == 1
-
-    def test_wrong_site_rejected(self, params_m2):
-        state = AliceState(1, RandomTape((0, 1, 2)), 2)
-        with pytest.raises(ValueError):
-            alice_unveil(2, state, params_m2, site=2)
+        assert simulate(params_m2, 2, 1, 7, 8).transcript.unveils[0].site == 1
 
     def test_completes_before_deadline(self, params_m2):
-        state = AliceState(1, RandomTape((0, 1, 2)), 2)
-        msg = alice_unveil(2, state, params_m2)
-        assert msg.completes_at < unveil_deadline(params_m2, 2)
+        unveil, = simulate(params_m2, 2, 1, 7, 8).transcript.unveils
+        assert unveil.completes_at == honest_unveil_time(params_m2, 2)
+        assert unveil.completes_at < unveil_deadline(params_m2, 2)
 
     @given(valid_params())
     def test_unveil_time_has_margin_everywhere(self, p):
@@ -124,10 +118,10 @@ class TestAliceUnveil:
             assert honest_unveil_time(p, r) < unveil_deadline(p, r)
 
     def test_partner_unveil_mirrors_primary(self, params_m2):
-        state = AliceState(1, RandomTape((0, 1, 2)), 2)
-        primary = alice_unveil(2, state, params_m2)
-        partner = partner_unveil(2, state, params_m2)
-        assert partner.site == 2
+        t = simulate(params_m2, 2, 1, 7, 8, dual_unveil=True).transcript
+        by_site = {u.site: u for u in t.unveils}
+        primary, partner = by_site[1], by_site[2]
+        assert len(t.unveils) == 2
         assert partner.revealed == primary.revealed
         assert partner.completes_at == primary.completes_at
 
@@ -142,8 +136,3 @@ class TestTape:
 
     def test_values_in_range(self):
         assert all(0 <= v < 8 for v in make_tape(3, 4, 7).values)
-
-    def test_state_checks_tape_length(self):
-        state = AliceState(0, RandomTape((1, 2)), 2)
-        with pytest.raises(ValueError):
-            state.check_tape(2)

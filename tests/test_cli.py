@@ -43,6 +43,15 @@ class TestRun:
         assert code == 1
         assert "error" in err
 
+    def test_seed_outside_64_bits_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        argv = ["run", "--m", "2", "--rounds", "1", "--bit", "0",
+                "--alice-seed", "-1", "--bob-seed", "9", "--out", str(out)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "alice_seed" in err
+        assert not out.exists()
+
     def test_abort_exits_two_and_records_reason(self, tmp_path, capsys):
         out = tmp_path / "aborted.json"
         code, _, err = run_cli(

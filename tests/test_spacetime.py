@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rbc.spacetime import (GeometryError, ProtocolParams, SpacetimeEvent,
-                           as_exact, exact_str, min_cross_delay, period,
+                           as_exact, exact_str, min_cross_delay,
                            round_site, round_window, spacelike, unveil_deadline)
 
 from conftest import valid_params
@@ -53,15 +53,15 @@ class TestParams:
 
 class TestPeriod:
     def test_example_unit_separation(self):
-        assert period(ProtocolParams(2, "1.0", "0.005", "0.01")) == Fraction("0.965")
+        assert ProtocolParams(2, "1.0", "0.005", "0.01").period == Fraction("0.965")
 
     def test_example_tenth_second(self):
         p = ProtocolParams(2, "0.1", "0.00001", "0.0001")
-        assert period(p) == Fraction("0.09977")
+        assert p.period == Fraction("0.09977")
 
     @given(valid_params())
     def test_positive_and_below_cross_delay(self, p):
-        assert 0 < period(p) < min_cross_delay(p)
+        assert 0 < p.period < min_cross_delay(p)
 
 
 class TestMinCrossDelay:
@@ -94,7 +94,7 @@ class TestRoundWindow:
     @given(valid_params())
     def test_spacing_is_exactly_one_period(self, p):
         for k in (1, 2, 5):
-            assert (round_window(p, k + 1)[0] - round_window(p, k)[0]) == period(p)
+            assert (round_window(p, k + 1)[0] - round_window(p, k)[0]) == p.period
 
     @given(valid_params())
     def test_rounds_never_overlap(self, p):

@@ -154,7 +154,7 @@ class TestParseErrors:
         with pytest.raises(TranscriptFormatError):
             parse_transcript(json.dumps(obj))
 
-    @pytest.mark.parametrize("seed", ["hello", 1.5, True, [], {}])
+    @pytest.mark.parametrize("seed", ["hello", 1.5, True, [], {}, -1, 2 ** 64])
     def test_rejects_non_integer_seed(self, params_m2, seed):
         obj = self.good_obj(params_m2)
         obj["seeds"]["alice"] = seed

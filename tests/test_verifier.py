@@ -12,7 +12,7 @@ from rbc.spacetime import (ProtocolParams, SpacetimeEvent, round_site,
 from rbc.verifier import (COUNT_MISMATCH, DECODE_MISMATCH,
                           DUPLICATE_PAIR_MEMBERS, INCOMPLETE_TRANSCRIPT,
                           RANGE_ERROR, SITE_MISMATCH, TIMING_VIOLATION,
-                          backward_decode, dual_unveil_check, verify)
+                          backward_decode, verify)
 
 from mutations import EPS, with_pair, with_revealed, with_round, with_unveil, with_value
 
@@ -210,13 +210,24 @@ class TestSiteAndShapeMutations:
         verdict = verify(with_round(honest, 1, pairs=rec.pairs + rec.pairs))
         assert verdict.reason == COUNT_MISMATCH
 
-    def test_out_of_range_response(self, honest):
-        verdict = verify(with_value(honest, 2, 1, 4))
+    # Non-int residues are built in memory, as no parsed file can hold them;
+    # the verifier must reject them, not crash in decoding or decode them.
+    @pytest.mark.parametrize("mutate", [
+        lambda t: with_value(t, 2, 1, 4),
+        lambda t: with_value(t, 2, 1, True),
+        lambda t: with_pair(t, 2, 1, Pair(float(t.rounds[1].pairs[1].n0),
+                                          t.rounds[1].pairs[1].n1)),
+    ], ids=["too_large", "bool_response", "float_pair_member"])
+    def test_out_of_range_response(self, honest, mutate):
+        verdict = verify(mutate(honest))
         assert verdict.reason == RANGE_ERROR
+        assert verdict.reject_position == (2, 1)
 
-    def test_out_of_range_revealed(self, honest):
-        verdict = verify(with_revealed(honest, 2, 99))
+    @pytest.mark.parametrize("value", [99, True], ids=["too_large", "bool_key"])
+    def test_out_of_range_revealed(self, honest, value):
+        verdict = verify(with_revealed(honest, 2, value))
         assert verdict.reason == RANGE_ERROR
+        assert verdict.reject_position == (3, 2)
 
     def test_non_consecutive_rounds(self, honest):
         verdict = verify(dataclasses.replace(honest, rounds=honest.rounds[1:]))
@@ -284,7 +295,8 @@ class TestDualUnveil:
         return run_protocol(params_m2, 2, 1, 7, 9, dual_unveil=True)
 
     def test_honest_dual_accepts(self, dual):
-        verdict = dual_unveil_check(dual)
+        assert len(dual.unveils) == 2
+        verdict = verify(dual)
         assert verdict.accepted and verdict.bit == 1
 
     def test_one_late_unveil_rejected(self, dual):
@@ -306,10 +318,6 @@ class TestDualUnveil:
         early = with_unveil(dual, idx=0, completes_at=Fraction(0))
         verdict = verify(with_unveil(early, idx=1, completes_at=Fraction(3, 2)))
         assert verdict.reason == TIMING_VIOLATION
-
-    def test_requires_exactly_two(self, honest):
-        with pytest.raises(ValueError):
-            dual_unveil_check(honest)
 
     def test_three_unveils_rejected(self, dual):
         trip = dataclasses.replace(dual, unveils=dual.unveils + dual.unveils[:1])
