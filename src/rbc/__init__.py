@@ -5,16 +5,16 @@ N = 2**m, iterated between two separated sites so that each round's answer
 is produced before the other site's latest challenge could have arrived.
 Binding rests on light-cone causality; hiding is exact.  The package
 provides the honest protocol simulator, the transcript verifier with
-backward-chain decoding, cheating strategies with brute-force security
-oracles, and channel-capacity accounting.
+backward-chain decoding, cheating strategies with an exact security
+oracle, and channel-capacity accounting.
 """
 
 from .adversary import (AttackOutcome, OffsetGuessAlice, OracleBudgetError,
                         offset_guess_reveal, optimal_flip_success, run_attack)
 from .agents import (AliceState, BobState, UnveilMessage, alice_response,
                      bob_challenge, make_tape)
-from .analysis import (CapacityReport, capacity_report, max_practical_rounds,
-                       round_traffic_bits, tape_consumed)
+from .analysis import (CapacityReport, capacity_report, round_traffic_bits,
+                       tape_consumed)
 from .codec import (CommitResponse, Pair, PairChallenge, RandomTape,
                     binary_form, commit_one, commit_round, decode_one,
                     from_binary, round_payload_bits, segment_bounds)
@@ -23,8 +23,8 @@ from .netsim import (CausalView, HonestAlice, RoundRecord, SimResult,
                      replay_decisions, run_protocol, simulate)
 from .rng import GENERATOR_ID, Stream, derive_seed
 from .spacetime import (GeometryError, ProtocolParams, SpacetimeEvent,
-                        as_exact, exact_str, min_cross_delay, round_site,
-                        round_window, spacelike, unveil_deadline)
+                        as_exact, exact_str, round_site, round_window,
+                        spacelike, unveil_deadline)
 from .transcript_io import (TranscriptFormatError, parse_transcript,
                             serialize_transcript)
 from .verifier import Verdict, backward_decode, verify

@@ -84,15 +84,6 @@ class CapacityReport:
         return "\n".join(lines)
 
 
-def max_practical_rounds(m: int, delta_x: Scalar, delta: Scalar, delta_t: Scalar,
-                         baud: Scalar) -> int:
-    """Largest R whose round-R traffic fits in one period at the given rate.
-
-    Returns 0 when even round 1 does not fit.
-    """
-    return capacity_report(m, delta_x, delta, delta_t, baud).max_rounds
-
-
 def capacity_report(m: int, delta_x: Scalar, delta: Scalar, delta_t: Scalar,
                     baud: Scalar) -> CapacityReport:
     """Full accounting: max rounds plus the traffic table up to first misfit.

@@ -9,15 +9,13 @@ Subcommands: run (simulate a protocol run to a transcript file), verify
     2  protocol aborted (transcript still written, abort reason recorded)
     3  verifier rejected
 
-All randomness flows from the explicit seed flags.  RBC_FORMAT (json or
-table) picks the default output format where --format applies.
+All randomness flows from the explicit seed flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -109,11 +107,7 @@ def _cmd_attack(args) -> int:
 
 def _cmd_capacity(args) -> int:
     report = capacity_report(args.m, args.dx, args.delta, args.dt, args.baud)
-    fmt = args.format or os.environ.get("RBC_FORMAT", "json")
-    if fmt not in ("json", "table"):
-        print(f"unknown format {fmt!r}; use json or table", file=sys.stderr)
-        return EXIT_USAGE
-    if fmt == "table":
+    if args.format == "table":
         print(report.to_table())
     else:
         print(json.dumps(report.to_json_obj(), indent=2))
@@ -154,7 +148,7 @@ def build_parser() -> _Parser:
     cap = sub.add_parser("capacity", help="traffic vs channel-rate accounting")
     cap.add_argument("--m", type=int, required=True)
     cap.add_argument("--baud", required=True, help="channel rate, bits/second")
-    cap.add_argument("--format", choices=("json", "table"), default=None)
+    cap.add_argument("--format", choices=("json", "table"), default="json")
     _add_geometry(cap, dx="0.1", delta="0.00001", dt="0.0001")
     cap.set_defaults(func=_cmd_capacity)
     return parser

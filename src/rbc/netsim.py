@@ -11,7 +11,8 @@ information by construction.
 
 The event loop is single threaded and ordered by (time, site, sequence),
 so identical seeds give identical transcripts, byte for byte.  Deadline
-misses and malformed strategy output are recorded as transcript aborts,
+misses, malformed strategy output and an unveil whose causal view lacks
+what the strategy needs (a LookupError) are recorded as transcript aborts,
 not raised.
 """
 
@@ -26,8 +27,8 @@ from .agents import (AliceState, BobState, UnveilMessage, alice_response,
                      honest_unveil_time, make_tape)
 from .codec import CommitResponse, PairChallenge, first_non_residue
 from .rng import derive_seed
-from .spacetime import (ProtocolParams, SpacetimeEvent, min_cross_delay,
-                        round_site, round_window, unveil_deadline)
+from .spacetime import (ProtocolParams, SpacetimeEvent, round_site,
+                        round_window, unveil_deadline)
 
 SAME_SITE = "same-site"
 CROSS_SITE = "cross-site"
@@ -77,7 +78,7 @@ def send(payload: object, sent: SpacetimeEvent, destination: int,
     if destination == sent.site:
         transit, delay = SAME_SITE, params.intra_delay
     else:
-        transit, delay = CROSS_SITE, min_cross_delay(params)
+        transit, delay = CROSS_SITE, params.cross_delay
     return TimedMessage(payload=payload, sent=sent, destination=destination,
                         transit=transit, earliest_arrival=sent.time + delay)
 
@@ -312,8 +313,11 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
             raise _Abort(f"unveil at {now} missed the causal deadline")
         log_size = len(log)
         view = causal_view(site, now, log)
-        revealed = _validate_values(strategy.unveil(view, rounds, priv),
-                                    params.m ** (rounds - 1),
+        try:
+            output = strategy.unveil(view, rounds, priv)
+        except LookupError as missing:
+            raise _Abort(f"unveil at site {site}: {missing}") from None
+        revealed = _validate_values(output, params.m ** (rounds - 1),
                                     params.modulus, "unveil")
         decisions.append(Decision("unveil", site, now, rounds, view, revealed,
                                   log_size))
@@ -391,29 +395,23 @@ def replay_decisions(result: SimResult) -> None:
             f"from its causal view")
 
 
-def aggregate_event(transcript: Transcript,
-                    hq: Optional[int] = None) -> SpacetimeEvent:
-    """Earliest event at HQ holding every round record and unveil.
+def aggregate_event(transcript: Transcript) -> SpacetimeEvent:
+    """Earliest event at the aggregation site holding every record and unveil.
 
-    HQ defaults to the primary unveilee's site (3 - round_site(R)).  A record
-    becomes available to the local Bob one intra_delay after its completion,
-    then crosses in exactly delta_x - 2*delta if HQ is the other site.
-    Verdicts may only be issued at or after this event.
+    Bob aggregates at the primary unveilee's site, 3 - round_site(R).  A
+    record becomes available to the local Bob one intra_delay after its
+    completion, then crosses in exactly delta_x - 2*delta if it was made at
+    the other site.  Verdicts may only be issued at or after this event.
     """
     if not transcript.unveils:
         raise ValueError("aggregation requires an unveiling")
     params = transcript.params
-    last = transcript.last_round
-    if hq is None:
-        hq = 3 - round_site(last)
-    elif hq not in (1, 2):
-        raise ValueError("hq must be site 1 or 2")
-    cross = min_cross_delay(params)
+    home = 3 - round_site(transcript.last_round)
 
     def arrival(completed_at: Fraction, site: int) -> Fraction:
         local = completed_at + params.intra_delay
-        return local if site == hq else local + cross
+        return local if site == home else local + params.cross_delay
 
     moments = [arrival(rec.response_end, rec.site) for rec in transcript.rounds]
     moments.extend(arrival(u.completes_at, u.site) for u in transcript.unveils)
-    return SpacetimeEvent(max(moments), hq)
+    return SpacetimeEvent(max(moments), home)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 Scalar = Union[int, float, str, Fraction]
@@ -64,38 +65,6 @@ def exact_str(value: Fraction) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
-def params_problems(m: object, delta_x: Fraction, delta: Fraction,
-                    delta_t: Fraction) -> list[str]:
-    """All violated construction invariants, in a fixed check order.
-
-    Bounds quantify the protocol's "much less than" requirements:
-    delta < delta_x/10, delta_t < delta_x/10, and additionally
-    delta + 2*delta_t < T so consecutive round windows are disjoint.
-    """
-    problems = []
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        problems.append("security parameter m must be an integer >= 2")
-        return problems
-    if delta_x <= 0:
-        problems.append("delta_x must be > 0")
-    if delta < 0:
-        problems.append("delta must be >= 0")
-    if delta_t <= 0:
-        problems.append("delta_t must be > 0")
-    if problems:
-        return problems
-    if 10 * delta >= delta_x:
-        problems.append("site separation must dominate placement: 10*delta < delta_x")
-    if 10 * delta_t >= delta_x:
-        problems.append("round window must be short: 10*delta_t < delta_x")
-    period = delta_x - 2 * delta_t - 3 * delta
-    if period <= 0:
-        problems.append(f"derived period T = {period} must be > 0")
-    elif delta + 2 * delta_t >= period:
-        problems.append("round windows overlap: need delta + 2*delta_t < T")
-    return problems
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """Security parameter and validated geometry/timing of one protocol run.
@@ -131,7 +100,7 @@ class ProtocolParams:
     def unchecked(m: object, delta_x: Fraction, delta: Fraction, delta_t: Fraction,
                   intra_delay: Fraction) -> "ProtocolParams":
         """Build without invariant checks (for parsed transcripts; the
-        verifier re-runs params_problems and rejects instead of raising)."""
+        verifier re-runs problems() and rejects instead of raising)."""
         self = object.__new__(ProtocolParams)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "delta_x", delta_x)
@@ -144,12 +113,46 @@ class ProtocolParams:
     def modulus(self) -> int:
         return 1 << self.m
 
-    @property
+    @cached_property
     def period(self) -> Fraction:
         return self.delta_x - 2 * self.delta_t - 3 * self.delta
 
+    @cached_property
+    def cross_delay(self) -> Fraction:
+        """Conservative lower bound on cross-site signal delay: delta_x - 2*delta.
+
+        Labs may each sit up to delta nearer the other site, so nothing can
+        cross in less than this.
+        """
+        return self.delta_x - 2 * self.delta
+
     def problems(self) -> list[str]:
-        probs = params_problems(self.m, self.delta_x, self.delta, self.delta_t)
+        """All violated construction invariants, in a fixed check order.
+
+        Bounds quantify the protocol's "much less than" requirements:
+        delta < delta_x/10, delta_t < delta_x/10, and additionally
+        delta + 2*delta_t < T so consecutive round windows are disjoint.
+        """
+        m = self.m
+        if not isinstance(m, int) or isinstance(m, bool) or m < 2:
+            return ["security parameter m must be an integer >= 2"]
+        probs = []
+        if self.delta_x <= 0:
+            probs.append("delta_x must be > 0")
+        if self.delta < 0:
+            probs.append("delta must be >= 0")
+        if self.delta_t <= 0:
+            probs.append("delta_t must be > 0")
+        if probs:
+            return probs
+        if 10 * self.delta >= self.delta_x:
+            probs.append("site separation must dominate placement: 10*delta < delta_x")
+        if 10 * self.delta_t >= self.delta_x:
+            probs.append("round window must be short: 10*delta_t < delta_x")
+        if self.period <= 0:
+            probs.append(f"derived period T = {self.period} must be > 0")
+        elif self.delta + 2 * self.delta_t >= self.period:
+            probs.append("round windows overlap: need delta + 2*delta_t < T")
         if not probs and not (0 <= self.intra_delay <= 2 * self.delta):
             probs.append("intra_delay must lie in [0, 2*delta]")
         return probs
@@ -168,15 +171,6 @@ class SpacetimeEvent:
             raise ValueError("event time must be >= 0")
         if self.site not in (1, 2):
             raise ValueError("site must be 1 or 2")
-
-
-def min_cross_delay(params: ProtocolParams) -> Fraction:
-    """Conservative lower bound on cross-site signal delay: delta_x - 2*delta.
-
-    Labs may each sit up to delta nearer the other site, so nothing can
-    cross in less than this.
-    """
-    return params.delta_x - 2 * params.delta
 
 
 def round_site(k: int) -> int:
@@ -208,7 +202,7 @@ def unveil_deadline(params: ProtocolParams, last_round: int) -> Fraction:
     """
     if last_round < 1:
         raise ValueError("round index starts at 1")
-    return (last_round - 1) * params.period + min_cross_delay(params)
+    return (last_round - 1) * params.period + params.cross_delay
 
 
 def spacelike(e1: SpacetimeEvent, e2: SpacetimeEvent, params: ProtocolParams) -> bool:
@@ -220,4 +214,4 @@ def spacelike(e1: SpacetimeEvent, e2: SpacetimeEvent, params: ProtocolParams) ->
     """
     if e1.site == e2.site:
         return False
-    return abs(e1.time - e2.time) < min_cross_delay(params)
+    return abs(e1.time - e2.time) < params.cross_delay

@@ -18,7 +18,7 @@ from itertools import permutations
 import pytest
 
 from rbc.adversary import OffsetGuessAlice, optimal_flip_success, run_attack
-from rbc.analysis import max_practical_rounds
+from rbc.analysis import capacity_report
 from rbc.codec import Pair, commit_one
 from rbc.netsim import CausalView, HonestAlice, replay_decisions, simulate
 from rbc.rng import Stream
@@ -121,7 +121,7 @@ def test_criterion_3_binding_vs_oracle():
 
 
 def test_criterion_4_capacity_estimate():
-    rounds = max_practical_rounds(10, "0.1", "0.00001", "0.0001", "1e11")
+    rounds = capacity_report(10, "0.1", "0.00001", "0.0001", "1e11").max_rounds
     report(4, "capacity estimate", 8 <= rounds <= 12,
            f"max practical rounds = {rounds}, band [8, 12]")
 

@@ -21,6 +21,38 @@ def three_sigma(p: Fraction, n: int) -> float:
     return 3 * (float(p) * (1 - float(p)) / n) ** 0.5
 
 
+# Exhaustive references for the oracle's two pieces: the per-position
+# optimum over every (true key, guessed reveal), and the flip weight over
+# every (key, used member, other member).
+
+def position_flip_probability_by_enumeration(modulus: int) -> Fraction:
+    best = 0
+    for key in range(modulus):
+        for guess in range(modulus):
+            hits = 0
+            for used in range(modulus):
+                for other in range(modulus):
+                    if other != used and (used + key - guess) % modulus == other:
+                        hits += 1
+            best = max(best, hits)
+    return Fraction(best, modulus * (modulus - 1))
+
+
+def flip_weights_by_pair_enumeration(m: int) -> dict[int, Fraction]:
+    modulus = 1 << m
+    counts: dict[int, int] = {}
+    for key in range(modulus):
+        for used in range(modulus):
+            for other in range(modulus):
+                if other == used:
+                    continue
+                forced = (key + used - other) % modulus
+                weight = bin(key ^ forced).count("1")
+                counts[weight] = counts.get(weight, 0) + 1
+    total = modulus * modulus * (modulus - 1)
+    return {w: Fraction(c, total) for w, c in counts.items()}
+
+
 # Independent reference for the oracle's composition step: level-by-level
 # convolution of the flip chain's Hamming-weight distributions.
 
@@ -70,6 +102,18 @@ class TestOracle:
         # the needed offset is uniform over the N-1 nonzero residues
         assert optimal_flip_success(2, 1) == Fraction(1, 3)
         assert optimal_flip_success(3, 1) == Fraction(1, 7)
+        # a closed form, within the default budget at any m
+        for m in (8, 16, 64):
+            assert optimal_flip_success(m, 1) == Fraction(1, 2 ** m - 1)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_position_optimum_matches_enumeration(self, m):
+        assert _best_position_flip_probability(1 << m) == \
+            position_flip_probability_by_enumeration(1 << m)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_flip_weights_match_pair_enumeration(self, m):
+        assert _flip_weight_distribution(m) == flip_weights_by_pair_enumeration(m)
 
     def test_two_rounds_exact_values(self):
         assert optimal_flip_success(2, 2) == Fraction(7, 27)

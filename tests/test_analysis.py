@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rbc.analysis import (capacity_report, max_practical_rounds,
-                          round_traffic_bits, tape_consumed)
+from rbc.analysis import capacity_report, round_traffic_bits, tape_consumed
 
 
 class TestTapeConsumed:
@@ -47,33 +46,33 @@ class TestRoundTraffic:
 class TestMaxPracticalRounds:
     def test_reference_scenario_roughly_ten(self):
         # m=10, 0.1 light-second separation, 100 gigabaud
-        rounds = max_practical_rounds(10, "0.1", "0.00001", "0.0001", "1e11")
+        rounds = capacity_report(10, "0.1", "0.00001", "0.0001", "1e11").max_rounds
         assert rounds == 9
         assert 8 <= rounds <= 12
 
     def test_zero_when_first_round_does_not_fit(self):
         p_period = Fraction("0.965")
         starving_baud = Fraction(3 * 2, 1) / p_period - 1
-        assert max_practical_rounds(2, "1", "0.005", "0.01", starving_baud) == 0
+        assert capacity_report(2, "1", "0.005", "0.01", starving_baud).max_rounds == 0
 
     def test_monotone_in_baud(self):
-        lo = max_practical_rounds(10, "0.1", "0.00001", "0.0001", "1e9")
-        hi = max_practical_rounds(10, "0.1", "0.00001", "0.0001", "1e12")
+        lo = capacity_report(10, "0.1", "0.00001", "0.0001", "1e9").max_rounds
+        hi = capacity_report(10, "0.1", "0.00001", "0.0001", "1e12").max_rounds
         assert lo <= hi
 
     def test_monotone_in_m(self):
-        small = max_practical_rounds(2, "0.1", "0.00001", "0.0001", "1e9")
-        large = max_practical_rounds(12, "0.1", "0.00001", "0.0001", "1e9")
+        small = capacity_report(2, "0.1", "0.00001", "0.0001", "1e9").max_rounds
+        large = capacity_report(12, "0.1", "0.00001", "0.0001", "1e9").max_rounds
         assert large <= small
 
     def test_monotone_in_separation(self):
-        near = max_practical_rounds(10, "0.1", "0.00001", "0.0001", "1e11")
-        far = max_practical_rounds(10, "10", "0.00001", "0.0001", "1e11")
+        near = capacity_report(10, "0.1", "0.00001", "0.0001", "1e11").max_rounds
+        far = capacity_report(10, "10", "0.00001", "0.0001", "1e11").max_rounds
         assert near <= far
 
     def test_rejects_nonpositive_baud(self):
         with pytest.raises(ValueError):
-            max_practical_rounds(10, "0.1", "0.00001", "0.0001", 0)
+            capacity_report(10, "0.1", "0.00001", "0.0001", 0)
 
 
 class TestCapacityReport:

@@ -145,11 +145,10 @@ class TestCapacity:
         assert code == 0
         assert "max practical rounds" in out
 
-    def test_env_var_default_format(self, capsys, monkeypatch):
-        monkeypatch.setenv("RBC_FORMAT", "table")
-        code, out, _ = run_cli(self.ARGS, capsys)
-        assert code == 0
-        assert "max practical rounds" in out
+    def test_unknown_format_exits_one(self):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--format", "xml"])
+        assert exc.value.code == 1
 
     def test_zero_baud_exits_one(self, capsys):
         code, _, err = run_cli(["capacity", "--m", "10", "--baud", "0"], capsys)

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbc.adversary import OffsetGuessAlice
 from rbc.codec import PairChallenge
 from rbc.netsim import (CausalView, HonestAlice, SAME_SITE, CROSS_SITE,
                         aggregate_event, causal_view, replay_decisions,
                         run_protocol, send, simulate)
 from rbc.netsim import TestEcho as EchoPayload
 from rbc.netsim import TestSignal as SignalPayload
-from rbc.spacetime import (ProtocolParams, SpacetimeEvent, min_cross_delay,
-                           round_site, round_window, unveil_deadline)
+from rbc.spacetime import (ProtocolParams, SpacetimeEvent, round_site,
+                           round_window, unveil_deadline)
 from rbc.transcript_io import serialize_transcript
 from rbc.verifier import backward_decode, verify
 
@@ -25,7 +26,7 @@ class TestSend:
     def test_cross_site_arrival(self, params_m2):
         msg = send("x", SpacetimeEvent(Fraction(0), 1), 2, params_m2)
         assert msg.transit == CROSS_SITE
-        assert msg.earliest_arrival == min_cross_delay(params_m2)
+        assert msg.earliest_arrival == params_m2.cross_delay
 
     def test_same_site_arrival_uses_intra_delay(self, params_m2):
         msg = send("x", SpacetimeEvent(Fraction(1), 1), 1, params_m2)
@@ -36,12 +37,12 @@ class TestSend:
 class TestCausalView:
     def test_cross_site_not_visible_just_before_arrival(self, params_m2):
         msg = send("x", SpacetimeEvent(Fraction(0), 1), 2, params_m2)
-        early = min_cross_delay(params_m2) - Fraction(1, 10**9)
+        early = params_m2.cross_delay - Fraction(1, 10**9)
         assert causal_view(2, early, [msg]).messages == ()
 
     def test_visible_exactly_at_arrival(self, params_m2):
         msg = send("x", SpacetimeEvent(Fraction(0), 1), 2, params_m2)
-        assert causal_view(2, min_cross_delay(params_m2), [msg]).messages == (msg,)
+        assert causal_view(2, params_m2.cross_delay, [msg]).messages == (msg,)
 
     def test_same_site_visible_after_intra_delay(self, params_m2):
         msg = send("x", SpacetimeEvent(Fraction(0), 1), 1, params_m2)
@@ -161,6 +162,16 @@ class TestAbortPaths:
         t = run_protocol(params_m2, 1, 0, 1, 2, BigAnswer())
         assert t.abort is not None and "outside" in t.abort
 
+    def test_unveil_without_needed_relay_recorded(self, params_m2):
+        # The partner unveiler at round R's own site cannot have the twin
+        # site's round-1 relay by the unveil time, so its forgery aborts.
+        res = simulate(params_m2, 2, 0, 1, 3, strategy=OffsetGuessAlice(),
+                       dual_unveil=True)
+        assert "round 1 relay missing" in res.transcript.abort
+        assert res.transcript.aggregation is None
+        assert verify(res.transcript).reason == "incomplete_transcript"
+        replay_decisions(res)
+
 
 class TestBobIndependence:
     def test_challenges_identical_under_altered_responses(self, params_m2):
@@ -209,7 +220,7 @@ class TestAggregateEvent:
         t = run_protocol(params_m2, 1, 0, 1, 2)
         # manual max: the round-1 record leaves site 1 and crosses to HQ = 2
         rec = t.rounds[0]
-        expected = rec.response_end + params_m2.intra_delay + min_cross_delay(params_m2)
+        expected = rec.response_end + params_m2.intra_delay + params_m2.cross_delay
         assert t.aggregation == SpacetimeEvent(expected, 2)
         assert aggregate_event(t) == t.aggregation
 
@@ -220,7 +231,7 @@ class TestAggregateEvent:
         for rec in t.rounds:
             local = rec.response_end + params_m2.intra_delay
             if rec.site != hq:
-                local += min_cross_delay(params_m2)
+                local += params_m2.cross_delay
             assert t.aggregation.time >= local
 
     def test_requires_unveiling(self, params_m2):

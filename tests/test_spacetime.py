@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rbc.spacetime import (GeometryError, ProtocolParams, SpacetimeEvent,
-                           as_exact, exact_str, min_cross_delay,
-                           round_site, round_window, spacelike, unveil_deadline)
+                           as_exact, exact_str, round_site, round_window,
+                           spacelike, unveil_deadline)
 
 from conftest import valid_params
 
@@ -61,20 +61,26 @@ class TestPeriod:
 
     @given(valid_params())
     def test_positive_and_below_cross_delay(self, p):
-        assert 0 < p.period < min_cross_delay(p)
+        assert 0 < p.period < p.cross_delay
+
+    def test_cached_geometry_keeps_equality_hash_and_repr(self):
+        p = ProtocolParams(2, "1.0", "0.005", "0.01")
+        fresh = ProtocolParams(2, "1.0", "0.005", "0.01")
+        assert p.period is p.period and p.cross_delay is p.cross_delay
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
 
 
 class TestMinCrossDelay:
     def test_examples(self):
-        assert min_cross_delay(ProtocolParams(2, "1.0", "0.005", "0.01")) == Fraction("0.99")
-        assert min_cross_delay(ProtocolParams(2, "0.1", 0, "0.0001")) == Fraction("0.1")
+        assert ProtocolParams(2, "1.0", "0.005", "0.01").cross_delay == Fraction("0.99")
+        assert ProtocolParams(2, "0.1", 0, "0.0001").cross_delay == Fraction("0.1")
 
     @given(valid_params())
     def test_below_separation_when_tolerant(self, p):
         if p.delta > 0:
-            assert min_cross_delay(p) < p.delta_x
+            assert p.cross_delay < p.delta_x
         else:
-            assert min_cross_delay(p) == p.delta_x
+            assert p.cross_delay == p.delta_x
 
 
 class TestRoundWindow:
@@ -147,7 +153,7 @@ class TestSpacelike:
 
     def test_boundary_is_strict(self, params_m2):
         e1 = SpacetimeEvent(Fraction(0), 1)
-        e2 = SpacetimeEvent(min_cross_delay(params_m2), 2)
+        e2 = SpacetimeEvent(params_m2.cross_delay, 2)
         assert not spacelike(e1, e2, params_m2)
 
     @given(valid_params())
