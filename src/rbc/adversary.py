@@ -258,6 +258,13 @@ def optimal_flip_success(m: int, last_round: int, *,
 # Monte Carlo harness
 # ---------------------------------------------------------------------------
 
+# oracle_rate_exact is written while the denominator, which bounds the
+# numerator as the rate is at most 1, has at most 4,300 digits: CPython's
+# default int-to-str limit.  Longer fractions, from (m, R) = (2,14), (3,9)
+# or (4,7) on, give null there; the float oracle_rate is always given.
+_EXACT_LIMIT = 10 ** 4300
+
+
 @dataclass(frozen=True)
 class AttackOutcome:
     """Result of repeated attack trials, with the exact oracle when sized."""
@@ -274,6 +281,7 @@ class AttackOutcome:
         return Fraction(self.successes, self.trials)
 
     def to_json_obj(self) -> dict:
+        rate = self.oracle_rate
         return {
             "strategy": self.strategy,
             "m": self.m,
@@ -283,10 +291,9 @@ class AttackOutcome:
             "success_rate": float(self.success_rate),
             "success_rate_exact": f"{self.success_rate.numerator}/"
                                   f"{self.success_rate.denominator}",
-            "oracle_rate": None if self.oracle_rate is None else float(self.oracle_rate),
-            "oracle_rate_exact": None if self.oracle_rate is None else
-                                 f"{self.oracle_rate.numerator}/"
-                                 f"{self.oracle_rate.denominator}",
+            "oracle_rate": None if rate is None else float(rate),
+            "oracle_rate_exact": (None if rate is None or rate.denominator >= _EXACT_LIMIT
+                                  else f"{rate.numerator}/{rate.denominator}"),
         }
 
 

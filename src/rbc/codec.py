@@ -11,6 +11,10 @@ tape is consumed in segments of size m**(k-1).  Tape indices are 0-based
 internally; external documentation counts entries from 1.  Pairs within one
 round are sampled independently, so the same pair may repeat across
 positions; distinctness inside each pair is required in every round.
+
+The arithmetic runs unchecked on residues in [0, N) and bits in {0, 1}:
+inputs are checked once where they enter, in the simulator and in the
+verifier's shape check, both with first_non_residue.
 """
 
 from __future__ import annotations
@@ -31,10 +35,6 @@ class Pair:
 
     n0: int
     n1: int
-
-    def __post_init__(self):
-        if self.n0 < 0 or self.n1 < 0:
-            raise ValueError("challenge pair members must be non-negative")
 
     def member(self, bit: int) -> int:
         return self.n1 if bit else self.n0
@@ -85,18 +85,11 @@ def first_non_residue(values: Sequence[int], modulus: int) -> Optional[int]:
     return None
 
 
-def _check_residue(value: int, modulus: int, what: str) -> None:
-    if type(value) is not int or not 0 <= value < modulus:
-        raise ValueError(f"{what} must be an integer in [0, {modulus})")
-
-
 def commit_one(pair: Pair, key: int, bit: int, modulus: int) -> int:
-    """Commit one bit: (pair member selected by bit) + key mod N."""
-    _check_residue(pair.n0, modulus, "pair member n0")
-    _check_residue(pair.n1, modulus, "pair member n1")
-    _check_residue(key, modulus, "key")
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
+    """Commit one bit: (pair member selected by bit) + key mod N.
+
+    Precondition: residues in [0, N) and bit 0 or 1, as the simulator makes.
+    """
     return (pair.member(bit) + key) % modulus
 
 
@@ -104,14 +97,13 @@ def decode_one(response: int, pair: Pair, key: int, modulus: int) -> Optional[in
     """Invert commit_one: the bit whose pair member equals response - key.
 
     Returns None when neither member matches (an invalid opening, not a
-    fault).  At most one branch can match because n0 != n1.
+    fault).  At most one branch can match because n0 != n1.  Precondition:
+    residues in [0, N), as the verifier's shape check establishes.
     """
-    _check_residue(response, modulus, "response")
-    _check_residue(key, modulus, "key")
     candidate = (response - key) % modulus
-    if candidate == pair.n0 % modulus:
+    if candidate == pair.n0:
         return 0
-    if candidate == pair.n1 % modulus:
+    if candidate == pair.n1:
         return 1
     return None
 
@@ -124,9 +116,7 @@ def binary_form(x: int, m: int) -> list[int]:
 
 
 def from_binary(bits: Sequence[int]) -> int:
-    """Inverse of binary_form: sum of bits[j] * 2**j."""
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0 or 1")
+    """Inverse of binary_form: sum of bits[j] * 2**j; bits are 0/1 from decode_one."""
     return sum(b << j for j, b in enumerate(bits))
 
 

@@ -2,9 +2,9 @@
 
 The simulator owns all timing: agents never pick times, they only map a
 causal view to data.  Every message carries its emission event and an
-earliest arrival derived from worst-case geometry (cross-site transit takes
+earliest arrival derived from worst-case geometry (a cross-site message takes
 exactly delta_x - 2*delta, the physical minimum and the security worst
-case; same-site transit takes the configured intra_delay in [0, 2*delta]).
+case; a same-site one takes the configured intra_delay in [0, 2*delta]).
 A strategy is invoked with a CausalView containing exactly the messages
 that have arrived at its site, so decisions cannot depend on spacelike
 information by construction.
@@ -13,7 +13,8 @@ The event loop is single threaded and ordered by (time, site, sequence),
 so identical seeds give identical transcripts, byte for byte.  Deadline
 misses, malformed strategy output and an unveil whose causal view lacks
 what the strategy needs (a LookupError) are recorded as transcript aborts,
-not raised.
+not raised.  Only protocol messages are modelled; channel tests run before
+the protocol starts are outside the simulator.
 """
 
 from __future__ import annotations
@@ -29,24 +30,6 @@ from .codec import CommitResponse, PairChallenge, first_non_residue
 from .rng import derive_seed
 from .spacetime import (ProtocolParams, SpacetimeEvent, round_site,
                         round_window, unveil_deadline)
-
-SAME_SITE = "same-site"
-CROSS_SITE = "cross-site"
-
-
-@dataclass(frozen=True)
-class TestSignal:
-    """Channel test ping sent by a Bob agent to the same-site Alice."""
-
-    nonce: int
-
-
-@dataclass(frozen=True)
-class TestEcho:
-    """Alice's immediate reply to a TestSignal."""
-
-    nonce: int
-
 
 @dataclass(frozen=True)
 class RoundRelay:
@@ -66,21 +49,17 @@ class TimedMessage:
     payload: object
     sent: SpacetimeEvent
     destination: int
-    transit: str
     earliest_arrival: Fraction
 
 
 def send(payload: object, sent: SpacetimeEvent, destination: int,
          params: ProtocolParams) -> TimedMessage:
-    """Stamp a payload with its transit class and earliest arrival."""
+    """Stamp a payload with its earliest arrival at the destination site."""
     if destination not in (1, 2):
         raise ValueError("destination must be site 1 or 2")
-    if destination == sent.site:
-        transit, delay = SAME_SITE, params.intra_delay
-    else:
-        transit, delay = CROSS_SITE, params.cross_delay
+    delay = params.intra_delay if destination == sent.site else params.cross_delay
     return TimedMessage(payload=payload, sent=sent, destination=destination,
-                        transit=transit, earliest_arrival=sent.time + delay)
+                        earliest_arrival=sent.time + delay)
 
 
 @dataclass(frozen=True)
@@ -220,8 +199,7 @@ def _validate_values(values, count: int, modulus: int, what: str) -> tuple[int, 
 
 
 def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
-             bob_seed: int, *, strategy=None, dual_unveil: bool = False,
-             handshake: bool = False) -> SimResult:
+             bob_seed: int, *, strategy=None, dual_unveil: bool = False) -> SimResult:
     """Run rounds 1..R plus unveiling under the given Alice strategy.
 
     Honest Bob agents always follow the schedule: round k's challenge
@@ -262,9 +240,6 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
         schedule(msg.earliest_arrival, to_site, "deliver", msg)
         return msg
 
-    if handshake:
-        for site in (1, 2):
-            emit(TestSignal(nonce=site), Fraction(0), site, site)
     for k in range(1, rounds + 1):
         schedule((k - 1) * params.period, round_site(k), "challenge", k)
     unveil_sites = [3 - round_site(rounds)]
@@ -282,9 +257,6 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
 
     def on_deliver(msg: TimedMessage, now: Fraction) -> None:
         payload = msg.payload
-        if isinstance(payload, TestSignal):
-            emit(TestEcho(nonce=payload.nonce), now, msg.destination, msg.destination)
-            return
         if not isinstance(payload, PairChallenge):
             return
         k = payload.round
@@ -351,11 +323,10 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
 
 def run_protocol(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
                  bob_seed: int, alice_strategy="honest", *,
-                 dual_unveil: bool = False, handshake: bool = False) -> Transcript:
+                 dual_unveil: bool = False) -> Transcript:
     """Convenience wrapper returning just the transcript."""
     return simulate(params, rounds, bit, alice_seed, bob_seed,
-                    strategy=alice_strategy, dual_unveil=dual_unveil,
-                    handshake=handshake).transcript
+                    strategy=alice_strategy, dual_unveil=dual_unveil).transcript
 
 
 def resolve_strategy(strategy):

@@ -72,9 +72,6 @@ class Stream:
     def bit(self) -> int:
         return self.u64() >> 63
 
-    def residue(self, modulus: int) -> int:
-        return self.below(modulus)
-
     def distinct_pair(self, modulus: int) -> tuple[int, int]:
         """Uniform ordered pair of distinct residues mod ``modulus``."""
         a = self.below(modulus)

@@ -11,11 +11,19 @@ self-describing, and records the run seeds when known.  Parsing validates
 structure and types only; semantic checks (ranges against the modulus,
 params invariants, timing) belong to the verifier, so a tampered but
 well-formed file parses and is then rejected with a precise reason.
+
+A time string is accepted only in the form exact_str writes, which gives
+each time exactly one spelling: a bare integer with no leading zeros and
+no "-0", a minimal-digit decimal with no trailing zero, or a reduced "p/q"
+whose denominator has a prime factor other than 2 and 5.  No exponents and
+no whitespace.  The shape and a cap of 256 characters are checked before
+any number is built, so parse cost is bounded by file size.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -33,16 +41,31 @@ class TranscriptFormatError(ValueError):
     """File is not a structurally valid transcript."""
 
 
+# A time string is at most this long.  Sums and products of a few such
+# values (windows, deadlines, the aggregation time) then stay far below
+# CPython's 4,300-digit int-to-str limit, so reject details stay printable,
+# and parsing one costs time bounded by the length.
+_MAX_TIME_CHARS = 256
+# The three spellings exact_str emits: an integer, a minimal decimal, p/q.
+_TIME_SHAPE = re.compile(r"0|-?[1-9][0-9]*"
+                         r"|-?(0|[1-9][0-9]*)\.[0-9]*[1-9]"
+                         r"|-?[1-9][0-9]*/[1-9][0-9]*")
+
+
 def _parse_time(text) -> Fraction:
     if not isinstance(text, str):
         raise TranscriptFormatError(f"time must be a string, got {text!r}")
-    try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise TranscriptFormatError(f"bad time string {text!r}: {exc}") from None
+    if len(text) > _MAX_TIME_CHARS or not _TIME_SHAPE.fullmatch(text):
+        raise TranscriptFormatError(f"bad time string {text[:40]!r}: expected "
+                                    f"an integer, decimal or p/q of at most "
+                                    f"{_MAX_TIME_CHARS} characters")
+    value = Fraction(text)
+    # integers and decimals of that shape are canonical; p/q must also be
+    # reduced, with a denominator that no decimal could write
+    if "/" in text and exact_str(value) != text:
+        raise TranscriptFormatError(f"time string {text!r} is not canonical; "
+                                    f"write {exact_str(value)!r}")
+    return value
 
 
 def _require(obj: dict, key: str, kind, what: str):

@@ -57,7 +57,9 @@ def backward_decode(rounds: Sequence[RoundRecord], revealed: Sequence[int],
     The revealed list opens round R directly; each opened round's bits,
     grouped into m-bit numbers (LSB first, tape order), are the keys of the
     round before it.  Returns (bit, None) on success or (None, (round,
-    position)) at the first invalid opening.
+    position)) at the first invalid opening.  The inputs must already have
+    passed _shape_problem (counts, residue ranges, distinct pair members):
+    the decoding arithmetic does not re-check them.
     """
     modulus = 1 << m
     keys = list(revealed)

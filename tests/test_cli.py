@@ -117,6 +117,16 @@ class TestAttack:
         assert report["oracle_rate_exact"] == "1/3"
         assert abs(report["success_rate"] - 1 / 3) < 0.1
 
+    def test_oracle_too_long_for_exact_string(self, capsys):
+        # at (2,14) the exact oracle fraction has about 7,800 digits
+        code, out, _ = run_cli(
+            ["attack", "--m", "2", "--rounds", "14", "--strategy", "offset-guess",
+             "--trials", "1", "--seed", "5"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["oracle_rate_exact"] is None
+        assert 0 < report["oracle_rate"] < 1 / 3
+
     def test_honest_relabel_sanity(self, capsys):
         code, out, _ = run_cli(
             ["attack", "--m", "2", "--rounds", "2", "--strategy", "honest-relabel",

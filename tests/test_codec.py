@@ -26,14 +26,6 @@ class TestCommitOne:
     def test_identity_key(self):
         assert commit_one(Pair(3, 9), 0, 0, 16) == 3
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            commit_one(Pair(3, 9), 16, 0, 16)
-        with pytest.raises(ValueError):
-            commit_one(Pair(3, 17), 0, 0, 16)
-        with pytest.raises(ValueError):
-            commit_one(Pair(3, 9), 7, 2, 16)
-
 
 class TestDecodeOne:
     def test_inverts_bit_zero(self):

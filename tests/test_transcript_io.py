@@ -2,17 +2,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rbc.cli import verdict_to_json_obj
 from rbc.netsim import run_protocol
 from rbc.rng import GENERATOR_ID
-from rbc.spacetime import ProtocolParams
+from rbc.spacetime import ProtocolParams, exact_str
 from rbc.transcript_io import (TranscriptFormatError, parse_transcript,
                                serialize_transcript)
+from rbc.verifier import Verdict, verify
 
 from conftest import valid_params
 
@@ -128,6 +131,16 @@ class TestParseErrors:
         with pytest.raises(TranscriptFormatError):
             parse_transcript(json.dumps(obj))
 
+    @pytest.mark.parametrize("time", [
+        "1/100", "0.010", "1e-2", "2/2", "-0", " 1 ", "01", "1e10000000",
+        pytest.param("9" * 257, id="257_digits")])
+    def test_rejects_non_canonical_time(self, params_m2, time):
+        # one spelling per time, checked before any number is built
+        obj = self.good_obj(params_m2)
+        obj["params"]["delta_x"] = time
+        with pytest.raises(TranscriptFormatError):
+            parse_transcript(json.dumps(obj))
+
     def test_rejects_missing_field(self, params_m2):
         obj = self.good_obj(params_m2)
         del obj["rounds"][0]["challenge"]
@@ -174,3 +187,74 @@ class TestParseErrors:
         parsed = parse_transcript(json.dumps(obj))
         from rbc.verifier import verify
         assert verify(parsed).reason == "range_error"
+
+
+HONEST_TEXT = serialize_transcript(
+    run_protocol(ProtocolParams(2, "1", "0.005", "0.01"), 2, 1, 7, 9))
+TIME_FIELD = re.compile(r'"(?:delta_x|delta|delta_t|intra_delay|start|end|'
+                        r'completes_at|time)": ("[^"]*")')
+TIME_SPANS = [m.span(1) for m in TIME_FIELD.finditer(HONEST_TEXT)]
+
+TIME_TEXT = st.one_of(
+    st.from_regex(r"-?[0-9]{1,4}([./][0-9]{1,4})?(e-?[0-9]{1,8})?", fullmatch=True),
+    st.from_regex(r"[1-9][0-9]{0,300}(/[1-9][0-9]{0,300})?", fullmatch=True),
+    st.text(max_size=6))
+SPLICE = st.one_of(
+    st.text(max_size=3),
+    st.integers(1, 6000).map(lambda n: "9" * n),
+    st.from_regex(r"[0-9]{0,3}(\.[0-9]{1,3})?e-?[0-9]{1,8}", fullmatch=True))
+
+
+def time_strings(obj: dict, t) -> list:
+    """(file text, parsed value) for every time in a parsed file."""
+    params = obj["params"]
+    out = [(params[name], getattr(t.params, name))
+           for name in ("delta_x", "delta", "delta_t", "intra_delay")]
+    for raw, rec in zip(obj["rounds"], t.rounds):
+        out += [(raw["challenge"]["start"], rec.challenge_start),
+                (raw["challenge"]["end"], rec.challenge_end),
+                (raw["response"]["end"], rec.response_end)]
+    out += [(raw["completes_at"], u.completes_at)
+            for raw, u in zip(obj["unveils"], t.unveils)]
+    if t.aggregation is not None:
+        out.append((obj["aggregation"]["time"], t.aggregation.time))
+    return out
+
+
+class TestFileTextFuzz:
+    """Edits of honest file text: times swapped, characters inserted,
+    deleted or replaced, long digit runs and exponents spliced in."""
+
+    @given(times=st.lists(st.tuples(st.integers(0, len(TIME_SPANS) - 1), TIME_TEXT),
+                          max_size=4),
+           edits=st.lists(st.tuples(st.integers(0, len(HONEST_TEXT)),
+                                    st.integers(0, 3), SPLICE), max_size=3))
+    @example(times=[(0, "1e5000")], edits=[])
+    @example(times=[(0, "9" * 5000)], edits=[])
+    @example(times=[(0, "1/100")], edits=[])
+    @example(times=[(4, "0.010")], edits=[])
+    @example(times=[(1, "2/2")], edits=[])
+    @example(times=[(4, "-0")], edits=[])
+    @example(times=[(0, " 1 ")], edits=[])
+    @example(times=[(0, "9" * 256), (1, "1/" + "7" * 254), (2, "1/" + "3" * 254),
+                    (3, "1/" + "7" * 254)], edits=[])
+    @settings(max_examples=200, deadline=None)
+    def test_parse_then_verify_never_crashes(self, times, edits):
+        chunks, at = [], 0
+        for i, time in sorted(dict(times).items()):
+            start, end = TIME_SPANS[i]
+            chunks += [HONEST_TEXT[at:start], json.dumps(time)]
+            at = end
+        text = "".join(chunks) + HONEST_TEXT[at:]
+        for pos, cut, splice in edits:
+            pos = min(pos, len(text))
+            text = text[:pos] + splice + text[pos + cut:]
+        try:
+            t = parse_transcript(text)
+        except TranscriptFormatError:
+            return
+        verdict = verify(t)
+        assert isinstance(verdict, Verdict)
+        json.dumps(verdict_to_json_obj(verdict))
+        for raw, value in time_strings(json.loads(text), t):
+            assert raw == exact_str(value)

@@ -210,14 +210,16 @@ class TestSiteAndShapeMutations:
         verdict = verify(with_round(honest, 1, pairs=rec.pairs + rec.pairs))
         assert verdict.reason == COUNT_MISMATCH
 
-    # Non-int residues are built in memory, as no parsed file can hold them;
-    # the verifier must reject them, not crash in decoding or decode them.
+    # Non-int and negative residues are built in memory, as no parsed file
+    # can hold them; the verifier must reject them, not decode them.
     @pytest.mark.parametrize("mutate", [
         lambda t: with_value(t, 2, 1, 4),
         lambda t: with_value(t, 2, 1, True),
         lambda t: with_pair(t, 2, 1, Pair(float(t.rounds[1].pairs[1].n0),
                                           t.rounds[1].pairs[1].n1)),
-    ], ids=["too_large", "bool_response", "float_pair_member"])
+        lambda t: with_pair(t, 2, 1, Pair(-1, t.rounds[1].pairs[1].n1)),
+    ], ids=["too_large", "bool_response", "float_pair_member",
+            "negative_pair_member"])
     def test_out_of_range_response(self, honest, mutate):
         verdict = verify(mutate(honest))
         assert verdict.reason == RANGE_ERROR
