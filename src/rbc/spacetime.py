@@ -65,6 +65,22 @@ def exact_str(value: Fraction) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
+# Messages print a time in full while its numerator and denominator fit in
+# this many bits, well inside CPython's 4,300-digit int-to-str limit.  A
+# parsed time is under 2**851 (256 characters), and the windows and
+# deadlines derived from four of them stay inside the cap too.
+_SHOWN_BITS = 4096
+
+
+def shown_time(value: Fraction) -> str:
+    """A time as messages print it: str(value), or only its magnitude as a
+    power of two when it has too many digits to print."""
+    n, d = value.numerator, value.denominator
+    if n.bit_length() <= _SHOWN_BITS and d.bit_length() <= _SHOWN_BITS:
+        return str(value)
+    return f"about {'-' if n < 0 else ''}2^{n.bit_length() - d.bit_length()}"
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Security parameter and validated geometry/timing of one protocol run.
@@ -150,7 +166,8 @@ class ProtocolParams:
         if 10 * self.delta_t >= self.delta_x:
             probs.append("round window must be short: 10*delta_t < delta_x")
         if self.period <= 0:
-            probs.append(f"derived period T = {self.period} must be > 0")
+            probs.append(f"derived period T = {shown_time(self.period)} "
+                         f"must be > 0")
         elif self.delta + 2 * self.delta_t >= self.period:
             probs.append("round windows overlap: need delta + 2*delta_t < T")
         if not probs and not (0 <= self.intra_delay <= 2 * self.delta):

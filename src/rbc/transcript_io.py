@@ -6,6 +6,20 @@ are JSON integers, every time is the canonical exact string of a rational
 Serializing, parsing, and re-serializing any transcript reproduces the
 file byte for byte.
 
+The writer emits exactly json.dumps(obj, indent=2) + "\n" of the file's
+JSON object, without the pure-Python encoder that indent selects: the
+rounds and unveils arrays, nearly all of the bytes, are built with
+str.join and f-strings at the fixed indent of each nesting level, and
+json.dumps writes the rest with those two arrays empty, which are then
+replaced in place.  Integers are written with str(), which is what
+json.dumps writes for an int (integer fields hold ints in every transcript
+the simulator or the parser builds), and times are exact_str text, which
+needs no escaping; the tests keep the plain json.dumps writer as the
+reference.
+Every time is written through one helper that raises ValueError, naming
+the field, for a time longer than the parser accepts, so the writer never
+emits a file whose times the parser refuses.
+
 The header names the seed-expansion generator, making files
 self-describing, and records the run seeds when known.  Parsing validates
 structure and types only; semantic checks (ranges against the modulus,
@@ -17,7 +31,9 @@ each time exactly one spelling: a bare integer with no leading zeros and
 no "-0", a minimal-digit decimal with no trailing zero, or a reduced "p/q"
 whose denominator has a prime factor other than 2 and 5.  No exponents and
 no whitespace.  The shape and a cap of 256 characters are checked before
-any number is built, so parse cost is bounded by file size.
+any number is built, so parse cost is bounded by file size.  Residue lists
+are checked whole by C-level passes; only when those fail are they walked
+entry by entry, to name the first bad entry.
 """
 
 from __future__ import annotations
@@ -25,7 +41,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional
 
 from .agents import UnveilMessage
 from .codec import Pair
@@ -50,6 +67,13 @@ _MAX_TIME_CHARS = 256
 _TIME_SHAPE = re.compile(r"0|-?[1-9][0-9]*"
                          r"|-?(0|[1-9][0-9]*)\.[0-9]*[1-9]"
                          r"|-?[1-9][0-9]*/[1-9][0-9]*")
+
+_INT, _LIST, _TWO = frozenset({int}), frozenset({list}), frozenset({2})
+# indents of the nesting levels the writer builds by hand
+_PAD6, _PAD8, _PAD10, _PAD12 = (" " * n for n in (6, 8, 10, 12))
+# the empty rounds and unveils that json.dumps writes; the writer puts the
+# hand-built arrays in their place
+_SLOT = '"rounds": [],\n  "unveils": []'
 
 
 def _parse_time(text) -> Fraction:
@@ -90,9 +114,16 @@ def _optional_seed(seeds: dict, key: str) -> Optional[int]:
     return value
 
 
-def _int_list(values, what: str) -> tuple[int, ...]:
-    if not isinstance(values, list):
-        raise TranscriptFormatError(f"{what}: expected a list")
+def _all_residues(values: list) -> bool:
+    """Whether every entry is a non-negative int, by C-level passes; the
+    callers walk the list entry by entry only when this fails, to name the
+    first bad entry."""
+    return {*map(type, values)} <= _INT and (not values or min(values) >= 0)
+
+
+def _int_list(values: list, what: str) -> tuple[int, ...]:
+    if _all_residues(values):
+        return tuple(values)
     out = []
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
@@ -102,54 +133,93 @@ def _int_list(values, what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def transcript_to_json_obj(t: Transcript) -> dict:
-    rounds = []
-    for rec in t.rounds:
-        rounds.append({
-            "k": rec.round,
-            "site": rec.site,
-            "challenge": {
-                "start": exact_str(rec.challenge_start),
-                "end": exact_str(rec.challenge_end),
-                "pairs": [[p.n0, p.n1] for p in rec.pairs],
-            },
-            "response": {
-                "end": exact_str(rec.response_end),
-                "values": list(rec.values),
-            },
-        })
-    unveils = [{
-        "round": u.round,
-        "site": u.site,
-        "completes_at": exact_str(u.completes_at),
-        "revealed": list(u.revealed),
-    } for u in t.unveils]
+def _pairs(raw_pairs: list, what: str) -> tuple[Pair, ...]:
+    if ({*map(type, raw_pairs)} <= _LIST and {*map(len, raw_pairs)} <= _TWO
+            and _all_residues([*chain.from_iterable(raw_pairs)])):
+        return tuple([Pair(*entry) for entry in raw_pairs])
+    pairs = []
+    for j, entry in enumerate(raw_pairs):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise TranscriptFormatError(f"{what}: pair {j} must be a "
+                                        f"two-element list")
+        pairs.append(Pair(*_int_list(entry, f"{what} pair {j}")))
+    return tuple(pairs)
+
+
+def _time_text(value: Fraction, field: str) -> str:
+    """exact_str(value), refused when the parser would refuse the file."""
+    try:
+        text = exact_str(value)
+    except ValueError:  # more digits than CPython converts to text
+        text = None
+    if text is None or len(text) > _MAX_TIME_CHARS:
+        raise ValueError(f"{field}: time is longer than {_MAX_TIME_CHARS} "
+                         f"characters, the most a transcript file holds")
+    return text
+
+
+def _array(texts: Iterable[str], pad: str) -> str:
+    """A JSON array as json.dumps(indent=2) writes it, one entry a line;
+    pad is the indent of the closing bracket."""
+    body = f",\n{pad}  ".join(texts)
+    return f"[\n{pad}  {body}\n{pad}]" if body else "[]"
+
+
+def _round_text(i: int, rec: RoundRecord) -> str:
+    what = f"rounds[{i}]"
+    start = _time_text(rec.challenge_start, what + ".challenge.start")
+    end = _time_text(rec.challenge_end, what + ".challenge.end")
+    response_end = _time_text(rec.response_end, what + ".response.end")
+    pairs = _array([f"[\n{_PAD12}{p.n0},\n{_PAD12}{p.n1}\n{_PAD10}]"
+                    for p in rec.pairs], _PAD8)
+    values = _array(map(str, rec.values), _PAD8)
+    return (f'{{\n      "k": {rec.round},\n      "site": {rec.site},\n'
+            f'      "challenge": {{\n        "start": "{start}",\n'
+            f'        "end": "{end}",\n        "pairs": {pairs}\n      }},\n'
+            f'      "response": {{\n        "end": "{response_end}",\n'
+            f'        "values": {values}\n      }}\n    }}')
+
+
+def _unveil_text(i: int, u: UnveilMessage) -> str:
+    completes_at = _time_text(u.completes_at, f"unveils[{i}].completes_at")
+    revealed = _array(map(str, u.revealed), _PAD6)
+    return (f'{{\n      "round": {u.round},\n      "site": {u.site},\n'
+            f'      "completes_at": "{completes_at}",\n'
+            f'      "revealed": {revealed}\n    }}')
+
+
+def serialize_transcript(t: Transcript) -> str:
+    """The transcript's file text, byte for byte json.dumps(obj, indent=2)
+    plus a newline; ValueError names a time too long for the file."""
+    p = t.params
+    params = {
+        "m": p.m,
+        "modulus": p.modulus,
+        "delta_x": _time_text(p.delta_x, "params.delta_x"),
+        "delta": _time_text(p.delta, "params.delta"),
+        "delta_t": _time_text(p.delta_t, "params.delta_t"),
+        "intra_delay": _time_text(p.intra_delay, "params.intra_delay"),
+    }
+    rounds = _array([_round_text(i, rec) for i, rec in enumerate(t.rounds)], "  ")
+    unveils = _array([_unveil_text(i, u) for i, u in enumerate(t.unveils)], "  ")
     aggregation = None
     if t.aggregation is not None:
-        aggregation = {"time": exact_str(t.aggregation.time),
+        aggregation = {"time": _time_text(t.aggregation.time, "aggregation.time"),
                        "site": t.aggregation.site}
-    return {
+    rest = json.dumps({
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "generator": GENERATOR_ID,
         "seeds": {"alice": t.alice_seed, "bob": t.bob_seed},
-        "params": {
-            "m": t.params.m,
-            "modulus": t.params.modulus,
-            "delta_x": exact_str(t.params.delta_x),
-            "delta": exact_str(t.params.delta),
-            "delta_t": exact_str(t.params.delta_t),
-            "intra_delay": exact_str(t.params.intra_delay),
-        },
-        "rounds": rounds,
-        "unveils": unveils,
+        "params": params,
+        "rounds": [],
+        "unveils": [],
         "aggregation": aggregation,
         "abort": t.abort,
-    }
-
-
-def serialize_transcript(t: Transcript) -> str:
-    return json.dumps(transcript_to_json_obj(t), indent=2) + "\n"
+    }, indent=2)
+    # a JSON string holds no raw newline, so the slot has no other match
+    head, _, tail = rest.partition(_SLOT)
+    return f'{head}"rounds": {rounds},\n  "unveils": {unveils}{tail}\n'
 
 
 def parse_transcript(text: str) -> Transcript:
@@ -187,20 +257,13 @@ def parse_transcript(text: str) -> Transcript:
         what = f"rounds[{i}]"
         ch = _require(r, "challenge", dict, what)
         resp = _require(r, "response", dict, what)
-        raw_pairs = _require(ch, "pairs", list, what + ".challenge")
-        pairs = []
-        for j, entry in enumerate(raw_pairs):
-            if (not isinstance(entry, list) or len(entry) != 2):
-                raise TranscriptFormatError(f"{what}: pair {j} must be a "
-                                            f"two-element list")
-            n0, n1 = _int_list(entry, f"{what} pair {j}")
-            pairs.append(Pair(n0, n1))
+        pairs = _pairs(_require(ch, "pairs", list, what + ".challenge"), what)
         rounds.append(RoundRecord(
             round=_require(r, "k", int, what),
             site=_require(r, "site", int, what),
             challenge_start=_parse_time(_require(ch, "start", str, what)),
             challenge_end=_parse_time(_require(ch, "end", str, what)),
-            pairs=tuple(pairs),
+            pairs=pairs,
             response_end=_parse_time(_require(resp, "end", str, what)),
             values=_int_list(_require(resp, "values", list, what), what),
         ))

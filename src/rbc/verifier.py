@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 from .codec import decode_one, first_non_residue, from_binary
 from .netsim import RoundRecord, Transcript, aggregate_event
-from .spacetime import (SpacetimeEvent, round_site, round_window, spacelike,
-                        unveil_deadline)
+from .spacetime import (SpacetimeEvent, round_site, round_window, shown_time,
+                        spacelike, unveil_deadline)
 
 TIMING_VIOLATION = "timing_violation"
 SITE_MISMATCH = "site_mismatch"
@@ -140,11 +140,13 @@ def _timing_problem(transcript: Transcript) -> Optional[Verdict]:
         start, end, response_end = round_window(params, rec.round)
         if not (start <= rec.challenge_start <= rec.challenge_end <= end):
             return _reject(TIMING_VIOLATION, f"round {rec.round} challenge "
-                           f"[{rec.challenge_start}, {rec.challenge_end}] outside "
-                           f"window [{start}, {end}]")
+                           f"[{shown_time(rec.challenge_start)}, "
+                           f"{shown_time(rec.challenge_end)}] outside window "
+                           f"[{shown_time(start)}, {shown_time(end)}]")
         if not (rec.challenge_end <= rec.response_end <= response_end):
             return _reject(TIMING_VIOLATION, f"round {rec.round} response at "
-                           f"{rec.response_end} outside (challenge_end, {response_end}]")
+                           f"{shown_time(rec.response_end)} outside "
+                           f"(challenge_end, {shown_time(response_end)}]")
     last = transcript.last_round
     deadline = unveil_deadline(params, last)
     primary_site = 3 - round_site(last)
@@ -160,7 +162,8 @@ def _timing_problem(transcript: Transcript) -> Optional[Verdict]:
                            f"{last} requires site {primary_site}")
         if not u.completes_at < deadline:
             return _reject(TIMING_VIOLATION, f"unveil completes at "
-                           f"{u.completes_at}, not strictly before {deadline}")
+                           f"{shown_time(u.completes_at)}, not strictly before "
+                           f"{shown_time(deadline)}")
     else:
         sites = sorted(u.site for u in unveils)
         if sites != [1, 2]:
@@ -169,8 +172,8 @@ def _timing_problem(transcript: Transcript) -> Optional[Verdict]:
         for u in unveils:
             if not u.completes_at < deadline:
                 return _reject(TIMING_VIOLATION, f"unveil from site {u.site} "
-                               f"completes at {u.completes_at}, not strictly "
-                               f"before {deadline}")
+                               f"completes at {shown_time(u.completes_at)}, not "
+                               f"strictly before {shown_time(deadline)}")
         events = [SpacetimeEvent(u.completes_at, u.site) for u in unveils]
         if not spacelike(events[0], events[1], params):
             return _reject(TIMING_VIOLATION, "dual unveil emissions are not "

@@ -52,6 +52,17 @@ class TestRun:
         assert "alice_seed" in err
         assert not out.exists()
 
+    def test_time_too_long_for_the_file_exits_one(self, tmp_path, capsys):
+        # --dx itself fits the 256-character cap on file times; round 2's
+        # start, derived from it, does not
+        out = tmp_path / "x.json"
+        dx = f"{3 ** 262 + 1}/{3 ** 262}"
+        assert len(dx) <= 256
+        code, _, err = run_cli(RUN_BASE + ["--out", str(out), "--dx", dx], capsys)
+        assert code == 1
+        assert "rounds[1].challenge.start" in err
+        assert not out.exists()
+
     def test_abort_exits_two_and_records_reason(self, tmp_path, capsys):
         out = tmp_path / "aborted.json"
         code, _, err = run_cli(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -9,15 +10,64 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rbc.cli import verdict_to_json_obj
-from rbc.netsim import run_protocol
+from rbc.agents import UnveilMessage
+from rbc.cli import main, verdict_to_json_obj
+from rbc.codec import Pair
+from rbc.netsim import RoundRecord, Transcript, run_protocol
 from rbc.rng import GENERATOR_ID
-from rbc.spacetime import ProtocolParams, exact_str
+from rbc.spacetime import ProtocolParams, SpacetimeEvent, exact_str
 from rbc.transcript_io import (TranscriptFormatError, parse_transcript,
                                serialize_transcript)
 from rbc.verifier import Verdict, verify
 
 from conftest import valid_params
+
+
+def reference_serialize(t: Transcript) -> str:
+    """The plain writer, json.dumps(indent=2) of the whole object: the exact
+    reference that serialize_transcript must match byte for byte."""
+    rounds = [{
+        "k": rec.round,
+        "site": rec.site,
+        "challenge": {
+            "start": exact_str(rec.challenge_start),
+            "end": exact_str(rec.challenge_end),
+            "pairs": [[p.n0, p.n1] for p in rec.pairs],
+        },
+        "response": {
+            "end": exact_str(rec.response_end),
+            "values": list(rec.values),
+        },
+    } for rec in t.rounds]
+    unveils = [{
+        "round": u.round,
+        "site": u.site,
+        "completes_at": exact_str(u.completes_at),
+        "revealed": list(u.revealed),
+    } for u in t.unveils]
+    aggregation = None
+    if t.aggregation is not None:
+        aggregation = {"time": exact_str(t.aggregation.time),
+                       "site": t.aggregation.site}
+    obj = {
+        "format": "rbc-transcript",
+        "version": "1",
+        "generator": GENERATOR_ID,
+        "seeds": {"alice": t.alice_seed, "bob": t.bob_seed},
+        "params": {
+            "m": t.params.m,
+            "modulus": t.params.modulus,
+            "delta_x": exact_str(t.params.delta_x),
+            "delta": exact_str(t.params.delta),
+            "delta_t": exact_str(t.params.delta_t),
+            "intra_delay": exact_str(t.params.intra_delay),
+        },
+        "rounds": rounds,
+        "unveils": unveils,
+        "aggregation": aggregation,
+        "abort": t.abort,
+    }
+    return json.dumps(obj, indent=2) + "\n"
 
 
 class TestRoundTrip:
@@ -56,6 +106,80 @@ class TestRoundTrip:
         text = serialize_transcript(t)
         assert parse_transcript(text) == t
         assert serialize_transcript(parse_transcript(text)) == text
+
+
+RESIDUES = st.lists(st.integers(-3, 2 ** 70), max_size=4).map(tuple)
+TIMES = st.builds(Fraction, st.integers(-10 ** 80, 10 ** 80),
+                  st.sampled_from([1, 2, 8, 10, 3, 7 * 5 ** 4, 9 ** 40]))
+ROUND_RECORDS = st.builds(
+    RoundRecord, round=st.integers(0, 9), site=st.integers(0, 3),
+    challenge_start=TIMES, challenge_end=TIMES,
+    pairs=st.lists(st.builds(Pair, st.integers(-3, 2 ** 70),
+                             st.integers(-3, 2 ** 70)), max_size=4).map(tuple),
+    response_end=TIMES, values=RESIDUES)
+UNVEILS = st.builds(UnveilMessage, round=st.integers(0, 9), revealed=RESIDUES,
+                    site=st.integers(0, 3), completes_at=TIMES)
+SEEDS = st.none() | st.integers(0, 2 ** 64 - 1)
+ABORTS = st.none() | st.text(max_size=20)
+TRANSCRIPTS = st.builds(
+    Transcript,
+    params=st.builds(ProtocolParams.unchecked, st.integers(0, 64),
+                     TIMES, TIMES, TIMES, TIMES),
+    rounds=st.lists(ROUND_RECORDS, max_size=3).map(tuple),
+    unveils=st.lists(UNVEILS, max_size=2).map(tuple),
+    aggregation=st.none() | st.builds(SpacetimeEvent, TIMES.map(abs),
+                                      st.integers(1, 2)),
+    abort=ABORTS, alice_seed=SEEDS, bob_seed=SEEDS)
+# a round with no pairs or values, an unveil with no keys, no aggregation,
+# null seeds, and an abort string that needs escaping and spells the
+# writer's own slot; the second example below also has no rounds or unveils
+EMPTY_PARTS = Transcript(
+    params=ProtocolParams.unchecked(2, Fraction(1), Fraction(0), Fraction(1, 3),
+                                    Fraction(-1, 8)),
+    rounds=(RoundRecord(1, 1, Fraction(0), Fraction(1, 100), (), Fraction(7), ()),),
+    unveils=(UnveilMessage(1, (), 2, Fraction(1, 3)),),
+    aggregation=None,
+    abort='quote " backslash \\ newline \n tab \t é ☃ \x00 "rounds": [],\n  "unveils": []',
+    alice_seed=None, bob_seed=None)
+
+
+class TestByteIdentity:
+    """serialize_transcript against reference_serialize, the plain writer."""
+
+    def test_cli_run_bytes_pinned(self, tmp_path):
+        out = tmp_path / "t.json"
+        assert main(["run", "--m", "3", "--rounds", "3", "--bit", "1",
+                     "--alice-seed", "1998", "--bob-seed", "9810068",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4a4022569061db5f7eadcac6aa765c85e462c8b1f51811be26613dcf9262106e")
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_honest_runs_match_reference(self, m, rounds):
+        params = ProtocolParams(m, "1", "0.005", "0.01")
+        for bit in (0, 1):
+            for dual in (False, True):
+                t = run_protocol(params, rounds, bit, 10 * m + rounds, bit,
+                                 dual_unveil=dual)
+                assert len(t.unveils) == (2 if dual else 1)
+                assert serialize_transcript(t) == reference_serialize(t)
+
+    @given(TRANSCRIPTS)
+    @example(EMPTY_PARTS)
+    @example(dataclasses.replace(EMPTY_PARTS, rounds=(), unveils=(), abort=None))
+    @settings(max_examples=200, deadline=None)
+    def test_in_memory_transcripts_match_reference(self, t):
+        assert serialize_transcript(t) == reference_serialize(t)
+
+    def test_time_over_the_file_cap_raises(self):
+        # round 2's start derives from two ~120-digit params and has over
+        # 256 characters, which the parser refuses
+        p = ProtocolParams(2, 1 + Fraction(1, 3 ** 120), Fraction(1, 200),
+                           Fraction(1, 100) + Fraction(1, 7 ** 120))
+        t = run_protocol(p, 2, 1, 7, 9)
+        with pytest.raises(ValueError, match=r"^rounds\[1\]\.challenge\.start: "):
+            serialize_transcript(t)
 
 
 class TestFileShape:
@@ -187,6 +311,88 @@ class TestParseErrors:
         parsed = parse_transcript(json.dumps(obj))
         from rbc.verifier import verify
         assert verify(parsed).reason == "range_error"
+
+
+# m=3, R=3: rounds[2] carries 9 pairs and 9 values, the unveil 9 keys
+PARITY_BASE = json.loads(serialize_transcript(
+    run_protocol(ProtocolParams(3, "1", "0.005", "0.01"), 3, 1, 7, 9)))
+SCALAR_FAULTS = [True, -1, 1.0, "1"]
+LIST_FAULT = [1]
+NOT_RESIDUE = "residues must be non-negative integers, got {!r}"
+NOT_PAIR = "rounds[2]: pair {} must be a two-element list"
+
+
+def put(changes) -> str:
+    """File text of PARITY_BASE with each (path, value) change applied."""
+    obj = json.loads(json.dumps(PARITY_BASE))
+    for path, value in changes:
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return json.dumps(obj)
+
+
+def pair_path(k: int, j: int, *member) -> tuple:
+    return ("rounds", k, "challenge", "pairs", j) + member
+
+
+def fault_cases():
+    """(id, changes, message), each fault at the first, a middle and the
+    last index of its list."""
+    values = ("rounds", 2, "response", "values")
+    revealed = ("unveils", 0, "revealed")
+    for j in (0, 4, 8):
+        for bad in (7, "x", None, [1], [1, 2, 3]) + tuple(SCALAR_FAULTS):
+            yield (f"pair{j}-entry-{bad!r}", [(pair_path(2, j), bad)],
+                   NOT_PAIR.format(j))
+        yield (f"pair{j}-entry-nested", [(pair_path(2, j), [[1], 2])],
+               f"rounds[2] pair {j}: " + NOT_RESIDUE.format([1]))
+        for bad in SCALAR_FAULTS + [LIST_FAULT]:
+            for member in (0, 1):
+                yield (f"pair{j}-member{member}-{bad!r}",
+                       [(pair_path(2, j, member), bad)],
+                       f"rounds[2] pair {j}: " + NOT_RESIDUE.format(bad))
+            yield (f"values{j}-{bad!r}", [(values + (j,), bad)],
+                   "rounds[2]: " + NOT_RESIDUE.format(bad))
+            yield (f"revealed{j}-{bad!r}", [(revealed + (j,), bad)],
+                   "unveils[0]: " + NOT_RESIDUE.format(bad))
+    # when a list holds several faults, the first entry's is reported,
+    # the shape of a pair before its members, members in order, pairs
+    # before values, and each round in full before the next
+    yield ("short-pair-before-bad-member",
+           [(pair_path(2, 2), [1]), (pair_path(2, 5, 0), -1)], NOT_PAIR.format(2))
+    yield ("bad-member-before-long-pair",
+           [(pair_path(2, 1, 1), True), (pair_path(2, 3), [1, 2, 3])],
+           "rounds[2] pair 1: " + NOT_RESIDUE.format(True))
+    yield ("members-in-order", [(pair_path(2, 6), [True, -1])],
+           "rounds[2] pair 6: " + NOT_RESIDUE.format(True))
+    yield ("pairs-before-values",
+           [(values + (0,), -1), (pair_path(2, 8), 7)], NOT_PAIR.format(8))
+    yield ("earlier-values-before-later-pairs",
+           [(("rounds", 1, "response", "values", 2), "1"), (pair_path(2, 0), [])],
+           "rounds[1]: " + NOT_RESIDUE.format("1"))
+    yield ("first-of-two-bad-values",
+           [(values + (3,), 1.0), (values + (1,), [1])],
+           "rounds[2]: " + NOT_RESIDUE.format([1]))
+
+
+FAULT_CASES = list(fault_cases())
+
+
+class TestReaderErrors:
+    """The first bad entry is named exactly, whichever list holds it."""
+
+    @pytest.mark.parametrize("changes, message",
+                             [case[1:] for case in FAULT_CASES],
+                             ids=[case[0] for case in FAULT_CASES])
+    def test_first_fault_named(self, changes, message):
+        with pytest.raises(TranscriptFormatError) as info:
+            parse_transcript(put(changes))
+        assert str(info.value) == message
+
+    def test_base_parses(self):
+        assert parse_transcript(put([])) is not None
 
 
 HONEST_TEXT = serialize_transcript(

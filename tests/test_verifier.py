@@ -262,6 +262,13 @@ class TestHostileTimestamps:
         verdict = verify(with_unveil(dual, idx=1, completes_at=Fraction(-1)))
         assert verdict.reason == TIMING_VIOLATION
 
+    def test_time_past_digit_limit_keeps_detail_printable(self, honest):
+        # str() of a 5,001-digit time raises past CPython's digit limit
+        verdict = verify(with_unveil(honest, completes_at=Fraction(10 ** 5000)))
+        assert verdict.reason == TIMING_VIOLATION
+        assert verdict.detail == ("unveil completes at about 2^16609, not "
+                                  "strictly before 73/25")
+
 
 class TestIncompleteTranscripts:
     def test_abort_reason_blocks_verdict(self, honest):
@@ -283,6 +290,13 @@ class TestInvalidParams:
                                        Fraction(5, 1000), Fraction(1, 1000))
         verdict = verify(dataclasses.replace(honest, params=bad))
         assert verdict.reason == RANGE_ERROR
+
+    def test_period_past_digit_limit_keeps_detail_printable(self, honest):
+        bad = ProtocolParams.unchecked(2, Fraction(1), Fraction(0),
+                                       Fraction(10 ** 5000), Fraction(0))
+        verdict = verify(dataclasses.replace(honest, params=bad))
+        assert verdict.reason == RANGE_ERROR
+        assert "derived period T = about -2^16610 must be > 0" in verdict.detail
 
     def test_bad_m_is_range_error(self, honest):
         bad = ProtocolParams.unchecked(1, Fraction(1), Fraction(1, 200),
