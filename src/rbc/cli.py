@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 from .adversary import run_attack
 from .analysis import capacity_report
 from .netsim import simulate
-from .spacetime import GeometryError, ProtocolParams, exact_str
+from .spacetime import (GeometryError, ProtocolParams, exact_str, printable,
+                        shown_time)
 from .transcript_io import (TranscriptFormatError, parse_transcript,
                             serialize_transcript)
 from .verifier import Verdict, verify
@@ -54,6 +55,11 @@ def _params(args) -> ProtocolParams:
 
 
 def verdict_to_json_obj(verdict: Verdict) -> dict:
+    """The verdict as JSON.  aggregation_time is the exact_str text of the
+    aggregation time while it is printable (numerator and denominator
+    within 4,096 bits, which every parsed file gives), and shown_time's
+    "about 2^k" magnitude past that."""
+    issued_at = verdict.issued_at
     return {
         "outcome": verdict.outcome,
         "bit": verdict.bit,
@@ -61,8 +67,9 @@ def verdict_to_json_obj(verdict: Verdict) -> dict:
         "detail": verdict.detail,
         "reject_position": (None if verdict.reject_position is None
                             else list(verdict.reject_position)),
-        "aggregation_time": (None if verdict.issued_at is None
-                             else exact_str(verdict.issued_at)),
+        "aggregation_time": (None if issued_at is None
+                             else exact_str(issued_at) if printable(issued_at)
+                             else shown_time(issued_at)),
     }
 
 

@@ -10,7 +10,13 @@ that have arrived at its site, so decisions cannot depend on spacelike
 information by construction.
 
 The event loop is single threaded and ordered by (time, site, sequence),
-so identical seeds give identical transcripts, byte for byte.  Deadline
+so identical seeds give identical transcripts, byte for byte.  It keeps
+time as exact integer ticks of the params' clock (``ProtocolParams.clock``):
+windows, deadlines, arrivals and the aggregation come from the spacetime
+formulas evaluated on the geometry counted in ticks.  A time becomes a
+``Fraction`` only where it leaves the loop, in a message, view, decision,
+record, unveil or the aggregation, so every public time is a ``Fraction``
+of the same value the formulas give on the params.  Deadline
 misses, malformed strategy output and an unveil whose causal view lacks
 what the strategy needs (a LookupError) are recorded as transcript aborts,
 not raised.  Only protocol messages are modelled; channel tests run before
@@ -20,7 +26,7 @@ the protocol starts are outside the simulator.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -46,20 +52,13 @@ class RoundRelay:
 
 @dataclass(frozen=True)
 class TimedMessage:
+    """A payload stamped with its emission event and its earliest arrival
+    at the destination site."""
+
     payload: object
     sent: SpacetimeEvent
     destination: int
     earliest_arrival: Fraction
-
-
-def send(payload: object, sent: SpacetimeEvent, destination: int,
-         params: ProtocolParams) -> TimedMessage:
-    """Stamp a payload with its earliest arrival at the destination site."""
-    if destination not in (1, 2):
-        raise ValueError("destination must be site 1 or 2")
-    delay = params.intra_delay if destination == sent.site else params.cross_delay
-    return TimedMessage(payload=payload, sent=sent, destination=destination,
-                        earliest_arrival=sent.time + delay)
 
 
 @dataclass(frozen=True)
@@ -218,10 +217,15 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
 
     priv = _alice_private(params, rounds, bit, alice_seed)
     bobs = {site: BobState(site=site, seed=bob_seed) for site in (1, 2)}
+    # The loop keeps time in integer ticks; at() gives the Fraction of each
+    # time that leaves it.
+    clock = params.clock
+    ticks, at = clock.ticks, clock.time
 
     log: list[TimedMessage] = []
     records: dict[int, RoundRecord] = {}
-    pending_challenge: dict[int, tuple[Fraction, Fraction]] = {}
+    # (tick, site) of every completed response and unveil, for aggregation
+    completions: list[tuple[int, int]] = []
     unveils: list[UnveilMessage] = []
     decisions: list[Decision] = []
     abort: Optional[str] = None
@@ -229,93 +233,100 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
     heap: list[tuple] = []
     seq = 0
 
-    def schedule(time: Fraction, site: int, tag: str, data) -> None:
+    def schedule(tick: int, site: int, tag: str, data) -> None:
         nonlocal seq
-        heapq.heappush(heap, (time, site, seq, tag, data))
+        heapq.heappush(heap, (tick, site, seq, tag, data))
         seq += 1
 
-    def emit(payload, time: Fraction, from_site: int, to_site: int) -> TimedMessage:
-        msg = send(payload, SpacetimeEvent(time, from_site), to_site, params)
+    def emit(payload, tick: int, from_site: int, to_site: int) -> None:
+        """Log a message and queue its delivery: one intra_delay later at
+        the same site, cross_delay later at the other."""
+        arrival = tick + (ticks.intra_delay if to_site == from_site
+                          else ticks.cross_delay)
+        msg = TimedMessage(payload, SpacetimeEvent(at(tick), from_site),
+                           to_site, at(arrival))
         log.append(msg)
-        schedule(msg.earliest_arrival, to_site, "deliver", msg)
-        return msg
+        schedule(arrival, to_site, "deliver", msg)
 
     for k in range(1, rounds + 1):
-        schedule((k - 1) * params.period, round_site(k), "challenge", k)
+        schedule(round_window(ticks, k)[0], round_site(k), "challenge", k)
     unveil_sites = [3 - round_site(rounds)]
     if dual_unveil:
         unveil_sites.append(round_site(rounds))
     for site in unveil_sites:
-        schedule(honest_unveil_time(params, rounds), site, "unveil", None)
+        schedule(honest_unveil_time(ticks, rounds), site, "unveil", None)
 
-    def on_challenge(k: int, now: Fraction) -> None:
+    def on_challenge(k: int, now: int) -> None:
         site = round_site(k)
         challenge = bobs[site].challenge(k, params)
-        start, end, _ = round_window(params, k)
-        pending_challenge[k] = (start, end)
-        emit(challenge, end, site, site)
+        emit(challenge, round_window(ticks, k)[1], site, site)
 
-    def on_deliver(msg: TimedMessage, now: Fraction) -> None:
+    def on_deliver(msg: TimedMessage, now: int) -> None:
         payload = msg.payload
         if not isinstance(payload, PairChallenge):
             return
         k = payload.round
         site = msg.destination
-        _, _, response_deadline = round_window(params, k)
+        start, end, response_deadline = round_window(ticks, k)
         if now > response_deadline:
-            raise _Abort(f"round {k}: challenge arrived at {now}, past the "
-                         f"response deadline {response_deadline}")
+            raise _Abort(f"round {k}: challenge arrived at {at(now)}, past the "
+                         f"response deadline {at(response_deadline)}")
+        time = at(now)
         log_size = len(log)
-        view = causal_view(site, now, log)
+        view = causal_view(site, time, log)
         values = _validate_values(strategy.respond(view, k, priv),
                                   params.m ** (k - 1), params.modulus,
                                   f"round {k} response")
-        decisions.append(Decision("respond", site, now, k, view, values, log_size))
+        decisions.append(Decision("respond", site, time, k, view, values, log_size))
         emit(CommitResponse(round=k, values=values), now, site, site)
-        start, end = pending_challenge.pop(k)
-        records[k] = RoundRecord(round=k, site=site, challenge_start=start,
-                                 challenge_end=end, pairs=payload.pairs,
-                                 response_end=now, values=values)
+        records[k] = RoundRecord(round=k, site=site, challenge_start=at(start),
+                                 challenge_end=at(end), pairs=payload.pairs,
+                                 response_end=time, values=values)
+        completions.append((now, site))
         if strategy.wants_relays:
             emit(RoundRelay(k, payload, CommitResponse(round=k, values=values)),
                  now, site, 3 - site)
 
-    def on_unveil(site: int, now: Fraction) -> None:
-        if now >= unveil_deadline(params, rounds) and site == 3 - round_site(rounds):
-            raise _Abort(f"unveil at {now} missed the causal deadline")
+    def on_unveil(site: int, now: int) -> None:
+        if now >= unveil_deadline(ticks, rounds) and site == 3 - round_site(rounds):
+            raise _Abort(f"unveil at {at(now)} missed the causal deadline")
+        time = at(now)
         log_size = len(log)
-        view = causal_view(site, now, log)
+        view = causal_view(site, time, log)
         try:
             output = strategy.unveil(view, rounds, priv)
         except LookupError as missing:
             raise _Abort(f"unveil at site {site}: {missing}") from None
         revealed = _validate_values(output, params.m ** (rounds - 1),
                                     params.modulus, "unveil")
-        decisions.append(Decision("unveil", site, now, rounds, view, revealed,
+        decisions.append(Decision("unveil", site, time, rounds, view, revealed,
                                   log_size))
         message = UnveilMessage(round=rounds, revealed=revealed, site=site,
-                                completes_at=now)
+                                completes_at=time)
         unveils.append(message)
+        completions.append((now, site))
         emit(message, now, site, site)
 
     try:
         while heap:
-            time, site, _, tag, data = heapq.heappop(heap)
+            tick, site, _, tag, data = heapq.heappop(heap)
             if tag == "challenge":
-                on_challenge(data, time)
+                on_challenge(data, tick)
             elif tag == "deliver":
-                on_deliver(data, time)
+                on_deliver(data, tick)
             elif tag == "unveil":
-                on_unveil(site, time)
+                on_unveil(site, tick)
     except _Abort as stop:
         abort = stop.reason
 
+    aggregation = None
+    if abort is None and unveils:
+        tick, home = _aggregation(ticks, rounds, completions)
+        aggregation = SpacetimeEvent(at(tick), home)
     transcript = Transcript(params=params,
                             rounds=tuple(records[k] for k in sorted(records)),
-                            unveils=tuple(unveils), aggregation=None, abort=abort,
-                            alice_seed=alice_seed, bob_seed=bob_seed)
-    if abort is None and unveils:
-        transcript = replace(transcript, aggregation=aggregate_event(transcript))
+                            unveils=tuple(unveils), aggregation=aggregation,
+                            abort=abort, alice_seed=alice_seed, bob_seed=bob_seed)
     return SimResult(transcript=transcript, messages=tuple(log),
                      decisions=tuple(decisions), strategy_name=strategy.name,
                      bit=bit, planned_rounds=rounds)
@@ -376,13 +387,32 @@ def aggregate_event(transcript: Transcript) -> SpacetimeEvent:
     """
     if not transcript.unveils:
         raise ValueError("aggregation requires an unveiling")
-    params = transcript.params
-    home = 3 - round_site(transcript.last_round)
+    completions = [(rec.response_end, rec.site) for rec in transcript.rounds]
+    completions.extend((u.completes_at, u.site) for u in transcript.unveils)
+    time, home = _aggregation(transcript.params, transcript.last_round,
+                              completions)
+    return SpacetimeEvent(time, home)
 
-    def arrival(completed_at: Fraction, site: int) -> Fraction:
-        local = completed_at + params.intra_delay
-        return local if site == home else local + params.cross_delay
 
-    moments = [arrival(rec.response_end, rec.site) for rec in transcript.rounds]
-    moments.extend(arrival(u.completes_at, u.site) for u in transcript.unveils)
-    return SpacetimeEvent(max(moments), home)
+def _aggregation(params: ProtocolParams, last_round: int,
+                 completions: Sequence[tuple]) -> tuple:
+    """(time, site) of aggregate_event, from (time, site) completions in the
+    units of params: seconds, or ticks of its clock.
+
+    Adding the delays keeps the order of times, so only the latest
+    completion at the aggregation site and the latest one elsewhere count.
+    """
+    home = 3 - round_site(last_round)
+    here = away = None
+    for time, site in completions:
+        if site == home:
+            if here is None or time > here:
+                here = time
+        elif away is None or time > away:
+            away = time
+    moments = []
+    if here is not None:
+        moments.append(here + params.intra_delay)
+    if away is not None:
+        moments.append(away + params.intra_delay + params.cross_delay)
+    return max(moments), home

@@ -11,6 +11,12 @@ sites, sized so that each round's response completes outside the future
 light cone of the other site's concurrent activity.  Every quantity is an
 exact ``Fraction``; deadline comparisons are exact, with "completes strictly
 before" semantics at light-cone bounds.
+
+Every instant of a schedule is an integer multiple of ``1/L``, where ``L``
+is the lcm of the four parameters' denominators.  ``ProtocolParams.clock``
+holds ``L`` and the same geometry counted in ticks of ``1/L``, so the
+schedule formulas below are written once over numbers: on the params they
+give ``Fraction`` times, on ``clock.ticks`` exact integer ticks.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Union
 
 Scalar = Union[int, float, str, Fraction]
@@ -31,8 +38,11 @@ def as_exact(value: Scalar) -> Fraction:
     """Convert a scalar to an exact Fraction.
 
     Floats go through their shortest repr, so a literal like 0.1 means
-    exactly 1/10 rather than its binary approximation.
+    exactly 1/10 rather than its binary approximation.  A Fraction is
+    returned as it is.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         return Fraction(repr(value))
     return Fraction(value)
@@ -72,12 +82,19 @@ def exact_str(value: Fraction) -> str:
 _SHOWN_BITS = 4096
 
 
+def printable(value: Fraction) -> bool:
+    """Whether messages print a time in full: its numerator and denominator
+    both fit in 4,096 bits.  str, repr and exact_str all succeed then."""
+    return (value.numerator.bit_length() <= _SHOWN_BITS
+            and value.denominator.bit_length() <= _SHOWN_BITS)
+
+
 def shown_time(value: Fraction) -> str:
     """A time as messages print it: str(value), or only its magnitude as a
     power of two when it has too many digits to print."""
-    n, d = value.numerator, value.denominator
-    if n.bit_length() <= _SHOWN_BITS and d.bit_length() <= _SHOWN_BITS:
+    if printable(value):
         return str(value)
+    n, d = value.numerator, value.denominator
     return f"about {'-' if n < 0 else ''}2^{n.bit_length() - d.bit_length()}"
 
 
@@ -130,6 +147,16 @@ class ProtocolParams:
         return 1 << self.m
 
     @cached_property
+    def clock(self) -> "Clock":
+        """The exact integer clock of this geometry, built once."""
+        return Clock(self)
+
+    @cached_property
+    def _windows(self) -> dict:
+        """round_window's memo: round k -> its window."""
+        return {}
+
+    @cached_property
     def period(self) -> Fraction:
         return self.delta_x - 2 * self.delta_t - 3 * self.delta
 
@@ -148,10 +175,15 @@ class ProtocolParams:
         Bounds quantify the protocol's "much less than" requirements:
         delta < delta_x/10, delta_t < delta_x/10, and additionally
         delta + 2*delta_t < T so consecutive round windows are disjoint.
+        The params are immutable, so the checks run once per params object.
         """
+        return list(self._problems)
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
         m = self.m
         if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-            return ["security parameter m must be an integer >= 2"]
+            return ("security parameter m must be an integer >= 2",)
         probs = []
         if self.delta_x <= 0:
             probs.append("delta_x must be > 0")
@@ -160,7 +192,7 @@ class ProtocolParams:
         if self.delta_t <= 0:
             probs.append("delta_t must be > 0")
         if probs:
-            return probs
+            return tuple(probs)
         if 10 * self.delta >= self.delta_x:
             probs.append("site separation must dominate placement: 10*delta < delta_x")
         if 10 * self.delta_t >= self.delta_x:
@@ -172,7 +204,37 @@ class ProtocolParams:
             probs.append("round windows overlap: need delta + 2*delta_t < T")
         if not probs and not (0 <= self.intra_delay <= 2 * self.delta):
             probs.append("intra_delay must lie in [0, 2*delta]")
-        return probs
+        return tuple(probs)
+
+
+class Clock:
+    """Integer ticks of ``1/scale`` for one valid ProtocolParams.
+
+    ``scale`` is the lcm of the denominators of delta_x, delta, delta_t and
+    intra_delay, so every schedule instant is a whole number of ticks.
+    ``ticks`` is the same geometry with each length counted in ticks: the
+    schedule formulas give tick counts on it.  ``time`` turns a tick count
+    back into the Fraction it stands for, building each distinct instant
+    once per clock.
+    """
+
+    __slots__ = ("scale", "ticks", "_times")
+
+    def __init__(self, params: ProtocolParams):
+        lengths = (params.delta_x, params.delta, params.delta_t,
+                   params.intra_delay)
+        scale = lcm(*(v.denominator for v in lengths))
+        self.scale = scale
+        self.ticks = ProtocolParams.unchecked(
+            params.m, *(v.numerator * (scale // v.denominator) for v in lengths))
+        self._times: dict[int, Fraction] = {}
+
+    def time(self, tick: int) -> Fraction:
+        """The instant tick/scale."""
+        value = self._times.get(tick)
+        if value is None:
+            value = self._times[tick] = Fraction(tick, self.scale)
+        return value
 
 
 @dataclass(frozen=True, order=True)
@@ -202,12 +264,18 @@ def round_window(params: ProtocolParams, k: int) -> tuple[Fraction, Fraction, Fr
 
     The challenge transmission must lie within [challenge_start,
     challenge_end] and the response must complete by response_end, both
-    bounds inclusive ("completed by" semantics).
+    bounds inclusive ("completed by" semantics).  Each window is computed
+    once per params object.
     """
-    if k < 1:
-        raise ValueError("round index starts at 1")
-    start = (k - 1) * params.period
-    return (start, start + params.delta_t, start + params.delta + 2 * params.delta_t)
+    windows = params._windows
+    window = windows.get(k)
+    if window is None:
+        if k < 1:
+            raise ValueError("round index starts at 1")
+        start = (k - 1) * params.period
+        window = windows[k] = (start, start + params.delta_t,
+                               start + params.delta + 2 * params.delta_t)
+    return window
 
 
 def unveil_deadline(params: ProtocolParams, last_round: int) -> Fraction:

@@ -12,10 +12,10 @@ rounds and unveils arrays, nearly all of the bytes, are built with
 str.join and f-strings at the fixed indent of each nesting level, and
 json.dumps writes the rest with those two arrays empty, which are then
 replaced in place.  Integers are written with str(), which is what
-json.dumps writes for an int (integer fields hold ints in every transcript
-the simulator or the parser builds), and times are exact_str text, which
-needs no escaping; the tests keep the plain json.dumps writer as the
-reference.
+json.dumps writes for an int; anything else in an integer field (a bool,
+None, a float) raises ValueError naming the field, found by one C-level
+type pass over each list.  Times are exact_str text, which needs no
+escaping; the tests keep the plain json.dumps writer as the reference.
 Every time is written through one helper that raises ValueError, naming
 the field, for a time longer than the parser accepts, so the writer never
 emits a file whose times the parser refuses.
@@ -42,6 +42,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .agents import UnveilMessage
@@ -69,8 +70,9 @@ _TIME_SHAPE = re.compile(r"0|-?[1-9][0-9]*"
                          r"|-?[1-9][0-9]*/[1-9][0-9]*")
 
 _INT, _LIST, _TWO = frozenset({int}), frozenset({list}), frozenset({2})
+_N0, _N1 = attrgetter("n0"), attrgetter("n1")
 # indents of the nesting levels the writer builds by hand
-_PAD6, _PAD8, _PAD10, _PAD12 = (" " * n for n in (6, 8, 10, 12))
+_PAD6, _PAD8 = " " * 6, " " * 8
 # the empty rounds and unveils that json.dumps writes; the writer puts the
 # hand-built arrays in their place
 _SLOT = '"rounds": [],\n  "unveils": []'
@@ -158,6 +160,23 @@ def _time_text(value: Fraction, field: str) -> str:
     return text
 
 
+def _int_text(value, what: str) -> str:
+    """str(value), which is JSON only for an exact int: a bool, None or
+    float would write True, None or 1.5, so those raise ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what}: expected an integer, got {value!r}")
+    return str(value)
+
+
+def _int_texts(values, what: str):
+    """_int_text of each entry; one C-level pass types the whole list, and
+    only when it fails is the list walked to name the first bad entry."""
+    if not {*map(type, values)} <= _INT:
+        for j, v in enumerate(values):
+            _int_text(v, f"{what}[{j}]")
+    return map(str, values)
+
+
 def _array(texts: Iterable[str], pad: str) -> str:
     """A JSON array as json.dumps(indent=2) writes it, one entry a line;
     pad is the indent of the closing bracket."""
@@ -167,13 +186,21 @@ def _array(texts: Iterable[str], pad: str) -> str:
 
 def _round_text(i: int, rec: RoundRecord) -> str:
     what = f"rounds[{i}]"
+    k = _int_text(rec.round, what + ".k")
+    site = _int_text(rec.site, what + ".site")
     start = _time_text(rec.challenge_start, what + ".challenge.start")
     end = _time_text(rec.challenge_end, what + ".challenge.end")
     response_end = _time_text(rec.response_end, what + ".response.end")
-    pairs = _array([f"[\n{_PAD12}{p.n0},\n{_PAD12}{p.n1}\n{_PAD10}]"
+    if not ({*map(type, map(_N0, rec.pairs))} <= _INT
+            and {*map(type, map(_N1, rec.pairs))} <= _INT):
+        for j, p in enumerate(rec.pairs):
+            _int_texts((p.n0, p.n1), f"{what}.challenge.pairs[{j}]")
+    # the pair members' indents (12 and 10 spaces) are spelled out: pairs
+    # are most of a large file, and literal text formats fastest
+    pairs = _array([f"[\n            {p.n0},\n            {p.n1}\n          ]"
                     for p in rec.pairs], _PAD8)
-    values = _array(map(str, rec.values), _PAD8)
-    return (f'{{\n      "k": {rec.round},\n      "site": {rec.site},\n'
+    values = _array(_int_texts(rec.values, what + ".response.values"), _PAD8)
+    return (f'{{\n      "k": {k},\n      "site": {site},\n'
             f'      "challenge": {{\n        "start": "{start}",\n'
             f'        "end": "{end}",\n        "pairs": {pairs}\n      }},\n'
             f'      "response": {{\n        "end": "{response_end}",\n'
@@ -181,9 +208,12 @@ def _round_text(i: int, rec: RoundRecord) -> str:
 
 
 def _unveil_text(i: int, u: UnveilMessage) -> str:
-    completes_at = _time_text(u.completes_at, f"unveils[{i}].completes_at")
-    revealed = _array(map(str, u.revealed), _PAD6)
-    return (f'{{\n      "round": {u.round},\n      "site": {u.site},\n'
+    what = f"unveils[{i}]"
+    k = _int_text(u.round, what + ".round")
+    site = _int_text(u.site, what + ".site")
+    completes_at = _time_text(u.completes_at, what + ".completes_at")
+    revealed = _array(_int_texts(u.revealed, what + ".revealed"), _PAD6)
+    return (f'{{\n      "round": {k},\n      "site": {site},\n'
             f'      "completes_at": "{completes_at}",\n'
             f'      "revealed": {revealed}\n    }}')
 

@@ -16,14 +16,14 @@ moment Bob actually holds all the data in one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .codec import decode_one, first_non_residue, from_binary
 from .netsim import RoundRecord, Transcript, aggregate_event
-from .spacetime import (SpacetimeEvent, round_site, round_window, shown_time,
-                        spacelike, unveil_deadline)
+from .spacetime import (SpacetimeEvent, printable, round_site, round_window,
+                        shown_time, spacelike, unveil_deadline)
 
 TIMING_VIOLATION = "timing_violation"
 SITE_MISMATCH = "site_mismatch"
@@ -34,9 +34,13 @@ RANGE_ERROR = "range_error"
 INCOMPLETE_TRANSCRIPT = "incomplete_transcript"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Verdict:
-    """accept(bit) or reject(reason), stamped with the aggregation time."""
+    """accept(bit) or reject(reason), stamped with the aggregation time.
+
+    The repr is the dataclass repr, except that an issued_at too long to
+    print (see spacetime.printable) shows as <shown_time(issued_at)>.
+    """
 
     outcome: str  # "accept" | "reject"
     bit: Optional[int] = None
@@ -48,6 +52,16 @@ class Verdict:
     @property
     def accepted(self) -> bool:
         return self.outcome == "accept"
+
+    def __repr__(self) -> str:
+        shown = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "issued_at" and value is not None and not printable(value):
+                shown.append(f"issued_at=<{shown_time(value)}>")
+            else:
+                shown.append(f"{f.name}={value!r}")
+        return f"Verdict({', '.join(shown)})"
 
 
 def backward_decode(rounds: Sequence[RoundRecord], revealed: Sequence[int],

@@ -241,6 +241,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             run_attack(params_m2, 1, "mind-reading", 10, 1)
 
+    def test_successes_pinned(self, params_m2):
+        # exact count, so a clock or scheduling change that flips even one
+        # trial shows; the rate tests above only bound it within 3 sigma
+        assert run_attack(params_m2, 3, "offset-guess", 1500, 106).successes == 299
+
     def test_reproducible(self, params_m2):
         a = run_attack(params_m2, 1, "offset-guess", 300, 7)
         b = run_attack(params_m2, 1, "offset-guess", 300, 7)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbc.adversary import OffsetGuessAlice
+from rbc.agents import honest_unveil_time
 from rbc.codec import PairChallenge
-from rbc.netsim import (CausalView, HonestAlice, aggregate_event, causal_view,
-                        replay_decisions, run_protocol, send, simulate)
+from rbc.netsim import (CausalView, HonestAlice, RoundRelay, TimedMessage,
+                        aggregate_event, causal_view, replay_decisions,
+                        run_protocol, simulate)
 from rbc.spacetime import (ProtocolParams, SpacetimeEvent, round_site,
                            round_window, unveil_deadline)
 from rbc.transcript_io import serialize_transcript
@@ -19,32 +22,48 @@ from rbc.verifier import backward_decode, verify
 from conftest import valid_params
 
 
+def _stamped(payload, time, from_site, to_site, params) -> TimedMessage:
+    """A message as the simulator stamps it, built by hand for the filter."""
+    delay = params.intra_delay if to_site == from_site else params.cross_delay
+    return TimedMessage(payload, SpacetimeEvent(Fraction(time), from_site),
+                        to_site, Fraction(time) + delay)
+
+
 class TestSend:
+    """The delay rule on the messages simulate logs."""
+
     def test_cross_site_arrival(self, params_m2):
-        msg = send("x", SpacetimeEvent(Fraction(0), 1), 2, params_m2)
-        assert msg.earliest_arrival == params_m2.cross_delay
+        # offset-guess relays each round to the twin site
+        res = simulate(params_m2, 3, 0, 1, 2, strategy=OffsetGuessAlice())
+        crossing = [m for m in res.messages if m.destination != m.sent.site]
+        assert crossing and all(isinstance(m.payload, RoundRelay)
+                                for m in crossing)
+        for msg in crossing:
+            assert msg.earliest_arrival == msg.sent.time + params_m2.cross_delay
 
     def test_same_site_arrival_uses_intra_delay(self, params_m2):
-        msg = send("x", SpacetimeEvent(Fraction(1), 1), 1, params_m2)
-        assert msg.earliest_arrival == 1 + params_m2.intra_delay
+        res = simulate(params_m2, 3, 0, 1, 2)
+        assert all(m.destination == m.sent.site for m in res.messages)
+        for msg in res.messages:
+            assert msg.earliest_arrival == msg.sent.time + params_m2.intra_delay
 
 
 class TestCausalView:
     def test_cross_site_not_visible_just_before_arrival(self, params_m2):
-        msg = send("x", SpacetimeEvent(Fraction(0), 1), 2, params_m2)
+        msg = _stamped("x", 0, 1, 2, params_m2)
         early = params_m2.cross_delay - Fraction(1, 10**9)
         assert causal_view(2, early, [msg]).messages == ()
 
     def test_visible_exactly_at_arrival(self, params_m2):
-        msg = send("x", SpacetimeEvent(Fraction(0), 1), 2, params_m2)
+        msg = _stamped("x", 0, 1, 2, params_m2)
         assert causal_view(2, params_m2.cross_delay, [msg]).messages == (msg,)
 
     def test_same_site_visible_after_intra_delay(self, params_m2):
-        msg = send("x", SpacetimeEvent(Fraction(0), 1), 1, params_m2)
+        msg = _stamped("x", 0, 1, 1, params_m2)
         assert causal_view(1, params_m2.intra_delay, [msg]).messages == (msg,)
 
     def test_other_sites_messages_never_visible(self, params_m2):
-        msg = send("x", SpacetimeEvent(Fraction(0), 1), 2, params_m2)
+        msg = _stamped("x", 0, 1, 2, params_m2)
         assert causal_view(1, Fraction(100), [msg]).messages == ()
 
     def test_view_carries_nothing_but_filtered_messages(self):
@@ -124,6 +143,16 @@ class TestAbortPaths:
         assert "past the response deadline" in t.abort
         assert t.rounds == ()
         assert t.aggregation is None
+
+    def test_response_exactly_at_deadline_completes(self):
+        # intra_delay = delta + delta_t: every challenge arrives exactly at
+        # its inclusive response deadline
+        p = ProtocolParams(2, "1", "0.01", "0.01", intra_delay="0.02")
+        t = run_protocol(p, 3, 1, 1, 2)
+        assert t.abort is None
+        assert [rec.response_end for rec in t.rounds] == [
+            round_window(p, k)[2] for k in (1, 2, 3)]
+        assert verify(t).bit == 1
 
     def test_malformed_strategy_output_recorded(self, params_m2):
         class ShortAnswer(HonestAlice):
@@ -224,3 +253,81 @@ class TestAggregateEvent:
         stripped = dataclasses.replace(t, unveils=(), aggregation=None)
         with pytest.raises(ValueError):
             aggregate_event(stripped)
+
+
+def _sha256(t) -> str:
+    return hashlib.sha256(serialize_transcript(t).encode("utf-8")).hexdigest()
+
+
+class TestPinnedRuns:
+    """Exact bytes of runs off the honest path: an abort, a forged dual
+    unveil and a geometry whose denominators share no factor."""
+
+    def test_offset_guess_dual_unveil(self, params_m2):
+        t = simulate(params_m2, 1, 1, 7, 9, strategy=OffsetGuessAlice(),
+                     dual_unveil=True).transcript
+        assert t.abort is None and len(t.unveils) == 2
+        assert _sha256(t) == (
+            "34ce998ea18b48c656a94ed4e2ad46dd1f8bbcecc70649a8e48a065f5bc1395c")
+
+    def test_offset_guess_dual_unveil_abort(self, params_m2):
+        t = simulate(params_m2, 2, 1, 7, 9, strategy=OffsetGuessAlice(),
+                     dual_unveil=True).transcript
+        assert t.abort == "unveil at site 2: round 1 relay missing from causal view"
+        assert _sha256(t) == (
+            "92114c41d5ebe7972935b6bf6c67f05343e8f35136f499f7a84e8c64326ed2ec")
+
+    def test_response_window_miss(self):
+        p = ProtocolParams(2, "1", "0.09", "0.001", intra_delay="0.18")
+        t = run_protocol(p, 1, 0, 1, 2)
+        assert t.abort == ("round 1: challenge arrived at 181/1000, past the "
+                           "response deadline 23/250")
+        assert _sha256(t) == (
+            "5ed621c508663067d9d688ce031863ede4e30d463719bb81e9cec5b3e26a2392")
+
+    def test_coprime_denominators(self):
+        p = ProtocolParams(3, Fraction(7, 3), Fraction(1, 97), Fraction(1, 31),
+                           intra_delay=Fraction(1, 101))
+        assert p.clock.scale == 3 * 97 * 31 * 101
+        t = run_protocol(p, 3, 1, 7, 9)
+        assert t.aggregation == SpacetimeEvent(Fraction(2077524, 303707), 2)
+        assert _sha256(t) == (
+            "cd48bb7f68f7e613123e88e008452bb37d261124e6d02a472281b8b452fa4a1f")
+
+
+class TestTickClock:
+    """The simulator's integer clock gives the Fraction geometry exactly."""
+
+    @given(valid_params(m=st.integers(2, 3)), st.sampled_from([0, 1, 2]),
+           st.integers(1, 4), st.integers(0, 1),
+           st.sampled_from(["honest", "offset-guess"]), st.booleans(),
+           st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_times_match_fraction_geometry(self, base, intra, rounds, bit,
+                                           strategy, dual, seed):
+        p = ProtocolParams(base.m, base.delta_x, base.delta, base.delta_t,
+                           intra_delay=intra * base.delta)
+        res = simulate(p, rounds, bit, seed, seed + 1, strategy=strategy,
+                       dual_unveil=dual)
+        t = res.transcript
+        for rec in t.rounds:
+            start, end, _ = round_window(p, rec.round)
+            assert (rec.challenge_start, rec.challenge_end) == (start, end)
+            assert rec.response_end == rec.challenge_end + p.intra_delay
+        for msg in res.messages:
+            delay = (p.intra_delay if msg.destination == msg.sent.site
+                     else p.cross_delay)
+            assert msg.earliest_arrival == msg.sent.time + delay
+            assert type(msg.sent.time) is type(msg.earliest_arrival) is Fraction
+        for decision in res.decisions:
+            assert type(decision.time) is Fraction
+            if decision.kind == "unveil":
+                assert decision.time == honest_unveil_time(p, rounds)
+        for u in t.unveils:
+            assert u.completes_at == honest_unveil_time(p, rounds)
+        if t.abort is None:
+            assert t.aggregation == aggregate_event(t)
+            assert type(t.aggregation.time) is Fraction
+        else:
+            assert t.aggregation is None
+        replay_decisions(res)

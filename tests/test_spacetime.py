@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rbc.agents import honest_unveil_time
 from rbc.spacetime import (GeometryError, ProtocolParams, SpacetimeEvent,
                            as_exact, exact_str, round_site, round_window,
                            spacelike, unveil_deadline)
@@ -108,6 +109,47 @@ class TestRoundWindow:
             assert round_window(p, k)[2] < round_window(p, k + 1)[0]
 
 
+    def test_computed_once_per_params(self, params_m2):
+        assert round_window(params_m2, 2) is round_window(params_m2, 2)
+        with pytest.raises(ValueError):
+            round_window(params_m2, 0)
+
+
+class TestClock:
+    def test_default_geometry_in_ticks(self, params_m2):
+        # denominators 1, 200, 100 and 200 (intra_delay = delta)
+        clock = params_m2.clock
+        assert clock is params_m2.clock
+        assert clock.scale == 200
+        ticks = clock.ticks
+        assert (ticks.delta_x, ticks.delta, ticks.delta_t, ticks.intra_delay,
+                ticks.period, ticks.cross_delay) == (200, 1, 2, 1, 193, 198)
+
+    def test_scale_is_lcm_of_coprime_denominators(self):
+        p = ProtocolParams(2, Fraction(7, 3), Fraction(1, 97), Fraction(1, 31),
+                           intra_delay=Fraction(1, 101))
+        assert p.clock.scale == 3 * 97 * 31 * 101
+
+    def test_each_instant_built_once(self, params_m2):
+        clock = params_m2.clock
+        assert clock.time(7) is clock.time(7) == Fraction(7, 200)
+
+    @given(valid_params(), st.sampled_from([0, 1, 2]))
+    def test_formulas_on_ticks_give_the_fraction_geometry(self, base, intra):
+        p = ProtocolParams(base.m, base.delta_x, base.delta, base.delta_t,
+                           intra_delay=intra * base.delta)
+        clock = p.clock
+        ticks, at = clock.ticks, clock.time
+        for name in ("delta_x", "delta", "delta_t", "intra_delay", "period",
+                     "cross_delay"):
+            assert type(getattr(ticks, name)) is int
+            assert at(getattr(ticks, name)) == getattr(p, name)
+        for k in (1, 2, 5):
+            assert tuple(map(at, round_window(ticks, k))) == round_window(p, k)
+            assert at(unveil_deadline(ticks, k)) == unveil_deadline(p, k)
+            assert at(honest_unveil_time(ticks, k)) == honest_unveil_time(p, k)
+
+
 class TestRoundSite:
     def test_examples(self):
         assert round_site(1) == 1
@@ -199,4 +241,6 @@ class TestExactStr:
 
     def test_as_exact_float_repr(self):
         assert as_exact(0.1) == Fraction(1, 10)
+        third = Fraction(1, 3)
+        assert as_exact(third) is third
         assert as_exact("1e11") == Fraction(10) ** 11

@@ -21,6 +21,7 @@ from rbc.transcript_io import (TranscriptFormatError, parse_transcript,
 from rbc.verifier import Verdict, verify
 
 from conftest import valid_params
+from mutations import with_pair, with_revealed, with_round, with_unveil, with_value
 
 
 def reference_serialize(t: Transcript) -> str:
@@ -180,6 +181,38 @@ class TestByteIdentity:
         t = run_protocol(p, 2, 1, 7, 9)
         with pytest.raises(ValueError, match=r"^rounds\[1\]\.challenge\.start: "):
             serialize_transcript(t)
+
+
+NON_JSON_INTEGERS = [
+    (lambda t: with_value(t, 2, 0, True), r"rounds\[1\]\.response\.values\[0\]: "
+     r"expected an integer, got True"),
+    (lambda t: with_value(t, 1, 0, None), r"rounds\[0\]\.response\.values\[0\]: "
+     r"expected an integer, got None"),
+    (lambda t: with_round(t, 1, round=True), r"rounds\[0\]\.k: "),
+    (lambda t: with_round(t, 2, site=None), r"rounds\[1\]\.site: "),
+    (lambda t: with_pair(t, 2, 1, Pair(0, False)),
+     r"rounds\[1\]\.challenge\.pairs\[1\]\[1\]: expected an integer, got False"),
+    (lambda t: with_pair(t, 1, 0, Pair(1.0, 2)), r"rounds\[0\]\.challenge\.pairs\[0\]\[0\]: "),
+    (lambda t: with_revealed(t, 1, None), r"unveils\[0\]\.revealed\[1\]: "),
+    (lambda t: with_unveil(t, round=None), r"unveils\[0\]\.round: "),
+    (lambda t: with_unveil(t, site=True), r"unveils\[0\]\.site: "),
+]
+
+
+class TestWriterRefusesNonJson:
+    """str() of a bool, None or float in an integer field is not JSON, so
+    the writer raises ValueError naming the field instead of writing it."""
+
+    @pytest.mark.parametrize("mutate, message", NON_JSON_INTEGERS)
+    def test_field_named(self, params_m2, mutate, message):
+        t = mutate(run_protocol(params_m2, 2, 0, 1, 2))
+        with pytest.raises(ValueError, match="^" + message):
+            serialize_transcript(t)
+
+    def test_negative_integers_still_written(self, params_m2):
+        # valid JSON; the parser, not the writer, refuses negative residues
+        t = with_value(run_protocol(params_m2, 2, 0, 1, 2), 2, 0, -1)
+        assert serialize_transcript(t) == reference_serialize(t)
 
 
 class TestFileShape:

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 
 from rbc.codec import Pair
 from rbc.netsim import RoundRecord, Transcript, aggregate_event, run_protocol
-from rbc.spacetime import (ProtocolParams, SpacetimeEvent, round_site,
-                           unveil_deadline)
+from rbc.cli import verdict_to_json_obj
+from rbc.spacetime import (ProtocolParams, SpacetimeEvent, exact_str,
+                           round_site, unveil_deadline)
 from rbc.verifier import (COUNT_MISMATCH, DECODE_MISMATCH,
                           DUPLICATE_PAIR_MEMBERS, INCOMPLETE_TRANSCRIPT,
                           RANGE_ERROR, SITE_MISMATCH, TIMING_VIOLATION,
@@ -268,6 +270,28 @@ class TestHostileTimestamps:
         assert verdict.reason == TIMING_VIOLATION
         assert verdict.detail == ("unveil completes at about 2^16609, not "
                                   "strictly before 73/25")
+
+
+class TestPrintableVerdict:
+    """repr and the CLI's JSON of a verdict stay total for any issued_at."""
+
+    def test_aggregation_time_past_digit_limit(self, params_m2):
+        t = run_protocol(params_m2, 2, 1, 7, 9)
+        verdict = verify(with_unveil(t, completes_at=Fraction(10 ** 5000)))
+        assert verdict.reason == TIMING_VIOLATION
+        assert verdict.issued_at > 10 ** 4999
+        assert repr(verdict).endswith(", issued_at=<about 2^16610>)")
+        obj = verdict_to_json_obj(verdict)
+        assert obj["aggregation_time"] == "about 2^16610"
+        assert json.loads(json.dumps(obj)) == obj
+
+    def test_printable_verdict_keeps_dataclass_repr(self, honest):
+        verdict = verify(honest)
+        issued = verdict.issued_at
+        assert repr(verdict) == (
+            f"Verdict(outcome='accept', bit=1, reason=None, detail=None, "
+            f"reject_position=None, issued_at={issued!r})")
+        assert verdict_to_json_obj(verdict)["aggregation_time"] == exact_str(issued)
 
 
 class TestIncompleteTranscripts:
