@@ -18,10 +18,11 @@ flipped number forces at the next level over the N(N-1) (key, offset)
 cases.  Flipped numbers draw independent keys and pairs, so the round-R
 weight has generating function P_R = W∘…∘W (R-1 copies), and the exact
 optimum E[q^weight] = P_R(q) is evaluated in exact rationals.  A single
-round takes microseconds at any m; (10,4), (6,6) and (3,11) take at most
-0.3 s each on a 2-vCPU VM with Python 3.11.  The implementable strategy
-guesses those offsets and its Monte Carlo rate must converge to the
-oracle value.
+round takes microseconds at any m.  On a 2-vCPU VM with Python 3.11,
+medians of 3 runs: (10,4) 0.24 s, (7,6) 0.15 s, (5,7) 0.07 s, (4,8)
+0.04 s, (6,6) 0.03 s and (3,11) 0.27 s; single runs vary by about a third
+either way.  The implementable strategy guesses those offsets and its
+Monte Carlo rate must converge to the oracle value.
 """
 
 from __future__ import annotations
@@ -106,13 +107,13 @@ def offset_guess_reveal(view: CausalView, last_round: int, target_bit: int,
     known = _known_rounds(view, last_round, priv)
 
     pairs_1, values_1 = known[1]
-    needed_keys = [(values_1[0] - pairs_1[0].member(target_bit)) % modulus]
+    needed_keys = [(values_1[0] - pairs_1[0][target_bit]) % modulus]
     for k in range(2, last_round):
         pairs_k, values_k = known[k]
         needed_bits = []
         for key in needed_keys:
             needed_bits.extend(binary_form(key, m))
-        needed_keys = [(values_k[j] - pairs_k[j].member(b)) % modulus
+        needed_keys = [(values_k[j] - pairs_k[j][b]) % modulus
                        for j, b in enumerate(needed_bits)]
 
     target_bits: list[int] = []

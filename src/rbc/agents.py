@@ -1,10 +1,11 @@
 """Honest-party state machines.
 
-Bob's agents (one per site) issue challenge pairs from per-(site, round)
-seeded streams, so their randomness never depends on anything Alice sends
-and any round's challenge can be replayed in isolation.  Alice's agents
-share one pre-materialized random tape and a committed bit; responses are
-deterministic functions of those plus the received challenge.
+Bob's round-k challenge at site s is the pure function bob_challenge of
+the stream seeded by derive_seed(bob_seed, "bob", s, k), so his randomness
+never depends on anything Alice sends and any round's challenge can be
+replayed in isolation.  Alice's agents share one pre-materialized random
+tape and a committed bit; responses are deterministic functions of those
+plus the received challenge.
 
 Unveiling is run by the simulator (``netsim``): the Alice at the site
 opposite round R reveals round R's tape segment (``HonestAlice.unveil``)
@@ -15,11 +16,11 @@ margin T + delta_t before the causal deadline for default intra delay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .codec import (CommitResponse, Pair, PairChallenge, RandomTape,
-                    commit_round, round_payload_bits)
+from .codec import (CommitResponse, PairChallenge, RandomTape, commit_round,
+                    round_payload_bits)
 from .rng import Stream, derive_seed
 from .spacetime import ProtocolParams
 from .analysis import tape_consumed
@@ -32,21 +33,6 @@ class AliceState:
     committed_bit: int
     tape: RandomTape
     planned_rounds: int
-
-
-@dataclass
-class BobState:
-    """One Bob agent: seeded per-round challenge streams, no reissue."""
-
-    site: int
-    seed: int
-    issued: set = field(default_factory=set)
-
-    def challenge(self, k: int, params: ProtocolParams) -> PairChallenge:
-        if k in self.issued:
-            raise ValueError(f"round {k} already challenged at site {self.site}")
-        self.issued.add(k)
-        return bob_challenge(k, params, Stream(derive_seed(self.seed, "bob", self.site, k)))
 
 
 @dataclass(frozen=True)
@@ -70,7 +56,7 @@ def make_tape(m: int, planned_rounds: int, alice_seed: int) -> RandomTape:
 def bob_challenge(k: int, params: ProtocolParams, stream: Stream) -> PairChallenge:
     """m**(k-1) pairs, each uniform over ordered pairs of distinct residues."""
     count = params.m ** (k - 1)
-    pairs = tuple(Pair(*stream.distinct_pair(params.modulus)) for _ in range(count))
+    pairs = tuple(stream.distinct_pair(params.modulus) for _ in range(count))
     return PairChallenge(round=k, pairs=pairs)
 
 

@@ -1,10 +1,11 @@
 """Commitment arithmetic: mod-N bit encoding and the tape segmentation rule.
 
-A single bit b is committed against a challenge pair (n0, n1) of distinct
-residues by returning n_b + key mod N, where the key is a one-time uniform
-residue from the pre-shared random tape.  Because the key is uniform, the
-response is uniform whichever bit was chosen (exact hiding); because n0 != n1,
-a revealed key decodes to at most one bit (the basis of binding).
+A challenge pair is the plain tuple (n0, n1) of two distinct residues, so
+pair[b] == n_b.  A single bit b is committed against it by returning
+n_b + key mod N, where the key is a one-time uniform residue from the
+pre-shared random tape.  Because the key is uniform, the response is
+uniform whichever bit was chosen (exact hiding); because n0 != n1, a
+revealed key decodes to at most one bit (the basis of binding).
 
 Round k commits the binary forms of the keys consumed in round k-1, so the
 tape is consumed in segments of size m**(k-1).  Tape indices are 0-based
@@ -12,9 +13,9 @@ internally; external documentation counts entries from 1.  Pairs within one
 round are sampled independently, so the same pair may repeat across
 positions; distinctness inside each pair is required in every round.
 
-The arithmetic runs unchecked on residues in [0, N) and bits in {0, 1}:
-inputs are checked once where they enter, in the simulator and in the
-verifier's shape check, both with first_non_residue.
+The arithmetic runs unchecked on residues in [0, N), bits in {0, 1} and
+pairs of exactly two members: inputs are checked once where they enter,
+in the simulator and in the verifier's shape check.
 """
 
 from __future__ import annotations
@@ -22,22 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-
-@dataclass(frozen=True)
-class Pair:
-    """Labelled challenge pair; protocol-valid pairs have distinct members.
-
-    Distinctness is a protocol invariant in every round: honest challenge
-    sampling guarantees it and the verifier rejects violations.  The
-    container itself stays permissive so that tampered transcripts remain
-    representable and rejectable.
-    """
-
-    n0: int
-    n1: int
-
-    def member(self, bit: int) -> int:
-        return self.n1 if bit else self.n0
+# The largest m: Stream draws each residue mod 2**m from one 64-bit word,
+# and a transcript file carries m in [0, MAX_M].
+MAX_M = 64
 
 
 @dataclass(frozen=True)
@@ -45,7 +33,7 @@ class PairChallenge:
     """One round's ordered list of challenge pairs (length m**(k-1))."""
 
     round: int
-    pairs: tuple[Pair, ...]
+    pairs: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -85,15 +73,16 @@ def first_non_residue(values: Sequence[int], modulus: int) -> Optional[int]:
     return None
 
 
-def commit_one(pair: Pair, key: int, bit: int, modulus: int) -> int:
-    """Commit one bit: (pair member selected by bit) + key mod N.
+def commit_one(pair: tuple[int, int], key: int, bit: int, modulus: int) -> int:
+    """Commit one bit: pair[bit] + key mod N.
 
     Precondition: residues in [0, N) and bit 0 or 1, as the simulator makes.
     """
-    return (pair.member(bit) + key) % modulus
+    return (pair[bit] + key) % modulus
 
 
-def decode_one(response: int, pair: Pair, key: int, modulus: int) -> Optional[int]:
+def decode_one(response: int, pair: tuple[int, int], key: int,
+               modulus: int) -> Optional[int]:
     """Invert commit_one: the bit whose pair member equals response - key.
 
     Returns None when neither member matches (an invalid opening, not a
@@ -101,9 +90,9 @@ def decode_one(response: int, pair: Pair, key: int, modulus: int) -> Optional[in
     residues in [0, N), as the verifier's shape check establishes.
     """
     candidate = (response - key) % modulus
-    if candidate == pair.n0:
+    if candidate == pair[0]:
         return 0
-    if candidate == pair.n1:
+    if candidate == pair[1]:
         return 1
     return None
 
@@ -150,8 +139,8 @@ def round_payload_bits(k: int, tape: RandomTape, m: int) -> list[int]:
     return out
 
 
-def commit_round(bits: Sequence[int], pairs: Sequence[Pair], keys: Sequence[int],
-                 modulus: int) -> list[int]:
+def commit_round(bits: Sequence[int], pairs: Sequence[tuple[int, int]],
+                 keys: Sequence[int], modulus: int) -> list[int]:
     """Elementwise commit_one: position j uses bits[j], pairs[j], keys[j]."""
     if not (len(bits) == len(pairs) == len(keys)):
         raise ValueError(f"length mismatch: {len(bits)} bits, "

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .agents import (AliceState, BobState, UnveilMessage, alice_response,
-                     honest_unveil_time, make_tape)
-from .codec import CommitResponse, PairChallenge, first_non_residue
-from .rng import derive_seed
+from .agents import (AliceState, UnveilMessage, alice_response,
+                     bob_challenge, honest_unveil_time, make_tape)
+from .codec import MAX_M, CommitResponse, PairChallenge, first_non_residue
+from .rng import Stream, derive_seed
 from .spacetime import (ProtocolParams, SpacetimeEvent, round_site,
                         round_window, unveil_deadline)
 
@@ -176,7 +176,7 @@ class SimResult:
     transcript: Transcript
     messages: tuple[TimedMessage, ...]
     decisions: tuple[Decision, ...]
-    strategy_name: str
+    strategy: object
     bit: int
     planned_rounds: int
 
@@ -206,6 +206,9 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
     Alice's reply completes the instant the challenge arrives.  The unveil
     is scheduled at the honest mirror time; strategies choose only data.
     """
+    if params.m > MAX_M:
+        raise ValueError(f"m={params.m} above {MAX_M}, the largest m a "
+                         f"transcript holds")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if bit not in (0, 1):
@@ -216,7 +219,6 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
     strategy = resolve_strategy(strategy)
 
     priv = _alice_private(params, rounds, bit, alice_seed)
-    bobs = {site: BobState(site=site, seed=bob_seed) for site in (1, 2)}
     # The loop keeps time in integer ticks; at() gives the Fraction of each
     # time that leaves it.
     clock = params.clock
@@ -258,7 +260,8 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
 
     def on_challenge(k: int, now: int) -> None:
         site = round_site(k)
-        challenge = bobs[site].challenge(k, params)
+        challenge = bob_challenge(k, params,
+                                  Stream(derive_seed(bob_seed, "bob", site, k)))
         emit(challenge, round_window(ticks, k)[1], site, site)
 
     def on_deliver(msg: TimedMessage, now: int) -> None:
@@ -328,7 +331,7 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
                             unveils=tuple(unveils), aggregation=aggregation,
                             abort=abort, alice_seed=alice_seed, bob_seed=bob_seed)
     return SimResult(transcript=transcript, messages=tuple(log),
-                     decisions=tuple(decisions), strategy_name=strategy.name,
+                     decisions=tuple(decisions), strategy=strategy,
                      bit=bit, planned_rounds=rounds)
 
 
@@ -353,12 +356,13 @@ def replay_decisions(result: SimResult) -> None:
 
     Rebuilds each view from the message-log prefix that existed at decision
     time, checks it satisfies the causal predicate and matches the recorded
-    view, then re-invokes the strategy (reconstructed from seeds) and
-    requires identical output.  Raises AssertionError on any divergence;
-    this is the executable form of the no-superluminal-information claim.
+    view, then re-invokes the run's strategy object, with Alice's private
+    inputs rebuilt from her seed, and requires identical output.  Raises
+    AssertionError on any divergence; this is the executable form of the
+    no-superluminal-information claim.
     """
     t = result.transcript
-    strategy = resolve_strategy(result.strategy_name)
+    strategy = result.strategy
     priv = _alice_private(t.params, result.planned_rounds, result.bit,
                           t.alice_seed)
     for decision in result.decisions:

@@ -60,8 +60,8 @@ class Stream:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection on 64-bit words."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
+        if not 0 < n <= 1 << 64:
+            raise ValueError(f"below() needs n in [1, 2**64], got {n}")
         # Largest multiple of n that fits in 64 bits; draws past it would bias.
         limit = (1 << 64) - ((1 << 64) % n)
         while True:

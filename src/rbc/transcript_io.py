@@ -42,11 +42,10 @@ import json
 import re
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter
 from typing import Iterable, Optional
 
 from .agents import UnveilMessage
-from .codec import Pair
+from .codec import MAX_M
 from .netsim import RoundRecord, Transcript
 from .rng import GENERATOR_ID
 from .spacetime import ProtocolParams, SpacetimeEvent, exact_str
@@ -69,8 +68,8 @@ _TIME_SHAPE = re.compile(r"0|-?[1-9][0-9]*"
                          r"|-?(0|[1-9][0-9]*)\.[0-9]*[1-9]"
                          r"|-?[1-9][0-9]*/[1-9][0-9]*")
 
-_INT, _LIST, _TWO = frozenset({int}), frozenset({list}), frozenset({2})
-_N0, _N1 = attrgetter("n0"), attrgetter("n1")
+_INT, _LIST, _TUPLE = frozenset({int}), frozenset({list}), frozenset({tuple})
+_TWO = frozenset({2})
 # indents of the nesting levels the writer builds by hand
 _PAD6, _PAD8 = " " * 6, " " * 8
 # the empty rounds and unveils that json.dumps writes; the writer puts the
@@ -135,17 +134,17 @@ def _int_list(values: list, what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _pairs(raw_pairs: list, what: str) -> tuple[Pair, ...]:
-    if ({*map(type, raw_pairs)} <= _LIST and {*map(len, raw_pairs)} <= _TWO
+def _pairs(raw_pairs: list, what: str) -> tuple[tuple[int, int], ...]:
+    """The pairs as (n0, n1) tuples; C-level passes check the whole list,
+    and only when they fail is it walked to name the first bad entry."""
+    if not ({*map(type, raw_pairs)} <= _LIST and {*map(len, raw_pairs)} <= _TWO
             and _all_residues([*chain.from_iterable(raw_pairs)])):
-        return tuple([Pair(*entry) for entry in raw_pairs])
-    pairs = []
-    for j, entry in enumerate(raw_pairs):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise TranscriptFormatError(f"{what}: pair {j} must be a "
-                                        f"two-element list")
-        pairs.append(Pair(*_int_list(entry, f"{what} pair {j}")))
-    return tuple(pairs)
+        for j, entry in enumerate(raw_pairs):
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise TranscriptFormatError(f"{what}: pair {j} must be a "
+                                            f"two-element list")
+            _int_list(entry, f"{what} pair {j}")
+    return tuple(map(tuple, raw_pairs))
 
 
 def _time_text(value: Fraction, field: str) -> str:
@@ -191,14 +190,17 @@ def _round_text(i: int, rec: RoundRecord) -> str:
     start = _time_text(rec.challenge_start, what + ".challenge.start")
     end = _time_text(rec.challenge_end, what + ".challenge.end")
     response_end = _time_text(rec.response_end, what + ".response.end")
-    if not ({*map(type, map(_N0, rec.pairs))} <= _INT
-            and {*map(type, map(_N1, rec.pairs))} <= _INT):
+    if not ({*map(type, rec.pairs)} <= _TUPLE and {*map(len, rec.pairs)} <= _TWO
+            and {*map(type, chain.from_iterable(rec.pairs))} <= _INT):
         for j, p in enumerate(rec.pairs):
-            _int_texts((p.n0, p.n1), f"{what}.challenge.pairs[{j}]")
+            field = f"{what}.challenge.pairs[{j}]"
+            if type(p) is not tuple or len(p) != 2:
+                raise ValueError(f"{field}: expected a pair (n0, n1), got {p!r}")
+            _int_texts(p, field)
     # the pair members' indents (12 and 10 spaces) are spelled out: pairs
     # are most of a large file, and literal text formats fastest
-    pairs = _array([f"[\n            {p.n0},\n            {p.n1}\n          ]"
-                    for p in rec.pairs], _PAD8)
+    pairs = _array([f"[\n            {n0},\n            {n1}\n          ]"
+                    for n0, n1 in rec.pairs], _PAD8)
     values = _array(_int_texts(rec.values, what + ".response.values"), _PAD8)
     return (f'{{\n      "k": {k},\n      "site": {site},\n'
             f'      "challenge": {{\n        "start": "{start}",\n'
@@ -269,8 +271,9 @@ def parse_transcript(text: str) -> Transcript:
     p = _require(obj, "params", dict, "transcript")
     m = _require(p, "m", int, "params")
     modulus = _require(p, "modulus", int, "params")
-    if not 0 <= m <= 64:
-        raise TranscriptFormatError(f"m={m} outside the supported range [0, 64]")
+    if not 0 <= m <= MAX_M:
+        raise TranscriptFormatError(f"m={m} outside the supported range "
+                                    f"[0, {MAX_M}]")
     if modulus != 1 << m:
         raise TranscriptFormatError(f"modulus {modulus} does not match m={m}")
     params = ProtocolParams.unchecked(

@@ -114,7 +114,10 @@ def _shape_problem(transcript: Transcript) -> Optional[Verdict]:
             return _reject(COUNT_MISMATCH, f"round {k} carries {len(rec.pairs)} "
                            f"pairs, expected {expected}")
         for j, pair in enumerate(rec.pairs):
-            n0, n1 = pair.n0, pair.n1
+            if type(pair) is not tuple or len(pair) != 2:
+                return _reject(RANGE_ERROR, f"round {k} pair {j} is not a "
+                               f"two-member tuple", position=(k, j))
+            n0, n1 = pair
             if not (type(n0) is int and type(n1) is int
                     and 0 <= n0 < modulus and 0 <= n1 < modulus):
                 return _reject(RANGE_ERROR, f"round {k} pair {j} member outside "

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-from rbc.codec import Pair
 from rbc.netsim import Transcript
 
 
@@ -21,7 +20,7 @@ def with_value(t: Transcript, k: int, j: int, value: int) -> Transcript:
     return with_round(t, k, values=tuple(values))
 
 
-def with_pair(t: Transcript, k: int, j: int, pair: Pair) -> Transcript:
+def with_pair(t: Transcript, k: int, j: int, pair: tuple) -> Transcript:
     pairs = list(t.rounds[k - 1].pairs)
     pairs[j] = pair
     return with_round(t, k, pairs=tuple(pairs))
@@ -40,3 +39,7 @@ def with_revealed(t: Transcript, j: int, value: int, idx: int = 0) -> Transcript
 
 
 EPS = Fraction(1, 10 ** 9)
+
+# in-memory pair entries that are not an (n0, n1) tuple of two ints
+MALFORMED_PAIRS = [(1,), (1, 2, 3), [1, 2], 3, (True, 2)]
+MALFORMED_PAIR_IDS = ["one_member", "three_members", "list", "int", "bool_member"]

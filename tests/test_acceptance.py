@@ -19,7 +19,7 @@ import pytest
 
 from rbc.adversary import OffsetGuessAlice, optimal_flip_success, run_attack
 from rbc.analysis import capacity_report
-from rbc.codec import Pair, commit_one
+from rbc.codec import commit_one
 from rbc.netsim import CausalView, HonestAlice, replay_decisions, simulate
 from rbc.rng import Stream
 from rbc.spacetime import ProtocolParams, round_window, unveil_deadline
@@ -94,7 +94,7 @@ def test_criterion_2_exact_hiding():
     for m in GRID_MS:
         modulus = 1 << m
         for n0, n1 in permutations(range(modulus), 2):
-            pair = Pair(n0, n1)
+            pair = (n0, n1)
             dist0 = Counter(commit_one(pair, key, 0, modulus)
                             for key in range(modulus))
             dist1 = Counter(commit_one(pair, key, 1, modulus)
@@ -184,8 +184,8 @@ def _shape_mutation(t, rng, variant):
         return with_round(t, k, pairs=rec.pairs + rec.pairs[-1:]), "count_mismatch"
     k = 1 + rng.below(len(t.rounds))
     j = rng.below(len(t.rounds[k - 1].pairs))
-    n0 = t.rounds[k - 1].pairs[j].n0
-    return with_pair(t, k, j, Pair(n0, n0)), "duplicate_pair_members"
+    n0 = t.rounds[k - 1].pairs[j][0]
+    return with_pair(t, k, j, (n0, n0)), "duplicate_pair_members"
 
 
 def test_criterion_5_soundness_fuzzing(fuzz_pool):

@@ -173,9 +173,9 @@ class TestForcedChain:
             m, modulus = 2, 4
             tape2 = t.unveils[0].revealed
             r1, r2 = t.rounds
-            forged_m1 = (r1.values[0] - r1.pairs[0].member(0)) % modulus
+            forged_m1 = (r1.values[0] - r1.pairs[0][0]) % modulus
             target_bits = binary_form(forged_m1, m)
-            reveal = tuple((r2.values[j] - r2.pairs[j].member(b)) % modulus
+            reveal = tuple((r2.values[j] - r2.pairs[j][b]) % modulus
                            for j, b in enumerate(target_bits))
             verdict = verify(with_unveil(t, revealed=reveal))
             assert verdict.accepted and verdict.bit == 0

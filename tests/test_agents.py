@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rbc.agents import (AliceState, BobState, alice_response, bob_challenge,
+from rbc.agents import (AliceState, alice_response, bob_challenge,
                         honest_unveil_time, make_tape)
-from rbc.codec import Pair, PairChallenge, RandomTape, decode_one
+from rbc.codec import PairChallenge, RandomTape, decode_one
 from rbc.netsim import simulate
 from rbc.rng import Stream, derive_seed
 from rbc.spacetime import unveil_deadline
@@ -15,7 +15,7 @@ from conftest import valid_params
 
 
 def challenge_of(pairs, k=1):
-    return PairChallenge(round=k, pairs=tuple(Pair(a, b) for a, b in pairs))
+    return PairChallenge(round=k, pairs=tuple(pairs))
 
 
 class TestBobChallenge:
@@ -33,27 +33,26 @@ class TestBobChallenge:
 
     def test_pairs_are_distinct_and_in_range(self, params_m3):
         for pair in bob_challenge(4, params_m3, Stream(9)).pairs:
-            assert pair.n0 != pair.n1
-            assert 0 <= pair.n0 < 8 and 0 <= pair.n1 < 8
+            assert pair[0] != pair[1]
+            assert 0 <= pair[0] < 8 and 0 <= pair[1] < 8
 
     def test_all_ordered_pairs_reachable(self, params_m2):
         seen = set()
         stream = Stream(3)
         for _ in range(600):
             pair = bob_challenge(1, params_m2, stream).pairs[0]
-            seen.add((pair.n0, pair.n1))
+            seen.add(pair)
         assert len(seen) == 4 * 3
 
-    def test_state_rejects_duplicate_round(self, params_m2):
-        bob = BobState(site=1, seed=5)
-        bob.challenge(1, params_m2)
-        with pytest.raises(ValueError):
-            bob.challenge(1, params_m2)
-
-    def test_state_stream_depends_only_on_site_and_round(self, params_m2):
-        a = BobState(site=1, seed=5).challenge(3, params_m2)
-        b = BobState(site=1, seed=5).challenge(3, params_m2)
-        assert a == b
+    def test_challenge_depends_only_on_site_and_round(self, params_m2):
+        def challenge(site, k):
+            return bob_challenge(k, params_m2, Stream(derive_seed(5, "bob", site, k)))
+        assert challenge(1, 3) == challenge(1, 3)
+        assert challenge(1, 3) != challenge(2, 3)
+        # the simulator draws each round's challenge this way
+        t = simulate(params_m2, 3, 0, 1, 5).transcript
+        assert [rec.pairs for rec in t.rounds] == [
+            challenge(site, k).pairs for k, site in ((1, 1), (2, 2), (3, 1))]
 
 
 class TestAliceResponse:
@@ -62,15 +61,15 @@ class TestAliceResponse:
         resp = alice_response(1, challenge_of([(1, 2)]), state, params_m2)
         assert resp.values == (0,)
         # oracle: the commitment must decode back to the committed bit
-        assert decode_one(resp.values[0], Pair(1, 2), 3, 4) == 0
+        assert decode_one(resp.values[0], (1, 2), 3, 4) == 0
 
     def test_round_two_example(self, params_m2):
         state = AliceState(0, RandomTape((3, 1, 2)), 2)
         resp = alice_response(2, challenge_of([(0, 1), (2, 3)], k=2), state, params_m2)
         assert resp.values == (2, 1)
         # oracle: payload bits are the binary form of tape[0] = 3 -> [1, 1]
-        assert decode_one(resp.values[0], Pair(0, 1), 1, 4) == 1
-        assert decode_one(resp.values[1], Pair(2, 3), 2, 4) == 1
+        assert decode_one(resp.values[0], (0, 1), 1, 4) == 1
+        assert decode_one(resp.values[1], (2, 3), 2, 4) == 1
 
     def test_rejects_wrong_challenge_length(self, params_m2):
         state = AliceState(0, RandomTape((3, 1, 2)), 2)

@@ -52,6 +52,14 @@ class TestRun:
         assert "alice_seed" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("m, code", [(64, 0), (65, 1)])
+    def test_largest_m(self, tmp_path, capsys, m, code):
+        out = tmp_path / "x.json"
+        argv = ["run", "--m", str(m), "--rounds", "2", "--bit", "0",
+                "--alice-seed", "1", "--bob-seed", "2", "--out", str(out)]
+        assert run_cli(argv, capsys)[0] == code
+        assert out.exists() == (code == 0)
+
     def test_time_too_long_for_the_file_exits_one(self, tmp_path, capsys):
         # --dx itself fits the 256-character cap on file times; round 2's
         # start, derived from it, does not
@@ -144,6 +152,13 @@ class TestAttack:
              "--trials", "20", "--seed", "5"], capsys)
         assert code == 0
         assert json.loads(out)["success_rate"] == 1.0
+
+    def test_m_past_64_exits_one(self, capsys):
+        code, _, err = run_cli(
+            ["attack", "--m", "65", "--rounds", "2", "--strategy", "offset-guess",
+             "--trials", "3", "--seed", "1"], capsys)
+        assert code == 1
+        assert "m=65" in err
 
     def test_unknown_strategy_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

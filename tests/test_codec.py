@@ -7,35 +7,35 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rbc.codec import (Pair, RandomTape, binary_form, commit_one, commit_round,
+from rbc.codec import (RandomTape, binary_form, commit_one, commit_round,
                        decode_one, from_binary, round_payload_bits,
                        segment_bounds)
 
 
 def all_pairs(modulus):
-    return [Pair(a, b) for a, b in permutations(range(modulus), 2)]
+    return list(permutations(range(modulus), 2))
 
 
 class TestCommitOne:
     def test_bit_zero(self):
-        assert commit_one(Pair(3, 9), 7, 0, 16) == 10
+        assert commit_one((3, 9), 7, 0, 16) == 10
 
     def test_bit_one_wraps(self):
-        assert commit_one(Pair(3, 9), 7, 1, 16) == 0
+        assert commit_one((3, 9), 7, 1, 16) == 0
 
     def test_identity_key(self):
-        assert commit_one(Pair(3, 9), 0, 0, 16) == 3
+        assert commit_one((3, 9), 0, 0, 16) == 3
 
 
 class TestDecodeOne:
     def test_inverts_bit_zero(self):
-        assert decode_one(10, Pair(3, 9), 7, 16) == 0
+        assert decode_one(10, (3, 9), 7, 16) == 0
 
     def test_inverts_bit_one(self):
-        assert decode_one(0, Pair(3, 9), 7, 16) == 1
+        assert decode_one(0, (3, 9), 7, 16) == 1
 
     def test_mismatch_is_none(self):
-        assert decode_one(5, Pair(3, 9), 7, 16) is None
+        assert decode_one(5, (3, 9), 7, 16) is None
 
     @given(st.integers(2, 5), st.data())
     def test_round_trip(self, m, data):
@@ -44,7 +44,7 @@ class TestDecodeOne:
         n1 = data.draw(st.integers(0, modulus - 1).filter(lambda x: x != n0))
         key = data.draw(st.integers(0, modulus - 1))
         bit = data.draw(st.integers(0, 1))
-        pair = Pair(n0, n1)
+        pair = (n0, n1)
         assert decode_one(commit_one(pair, key, bit, modulus), pair, key, modulus) == bit
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -143,15 +143,15 @@ class TestRoundPayloadBits:
 
 class TestCommitRound:
     def test_elementwise(self):
-        values = commit_round([1, 1], [Pair(3, 9), Pair(2, 5)], [7, 4], 16)
+        values = commit_round([1, 1], [(3, 9), (2, 5)], [7, 4], 16)
         assert values == [0, 9]
 
     def test_empty(self):
         assert commit_round([], [], [], 16) == []
 
     def test_singleton_matches_commit_one(self):
-        assert commit_round([1], [Pair(3, 9)], [7], 16) == [commit_one(Pair(3, 9), 7, 1, 16)]
+        assert commit_round([1], [(3, 9)], [7], 16) == [commit_one((3, 9), 7, 1, 16)]
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            commit_round([1], [Pair(3, 9), Pair(2, 5)], [7, 4], 16)
+            commit_round([1], [(3, 9), (2, 5)], [7, 4], 16)

@@ -187,6 +187,19 @@ class TestAbortPaths:
         replay_decisions(res)
 
 
+class TestModulusBound:
+    def test_largest_m_runs(self):
+        t = run_protocol(ProtocolParams(64, "1", "0.005", "0.01"), 2, 1, 3, 4)
+        verdict = verify(t)
+        assert verdict.accepted and verdict.bit == 1
+
+    def test_m_past_the_file_bound_refused(self):
+        p = ProtocolParams(65, "1", "0.005", "0.01")
+        assert p.problems() == []
+        with pytest.raises(ValueError, match="m=65"):
+            simulate(p, 1, 0, 3, 4)
+
+
 class TestBobIndependence:
     def test_challenges_identical_under_altered_responses(self, params_m2):
         class Scrambled(HonestAlice):
@@ -204,6 +217,25 @@ class TestBobIndependence:
 class TestReplay:
     def test_honest_decisions_replayable(self, params_m3):
         replay_decisions(simulate(params_m3, 4, 1, 7, 9))
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_replays_the_run_strategy_object(self, params_m2, rounds, bit):
+        # the registry's offset-guess flips the bit; this one keeps it
+        strategy = OffsetGuessAlice(target_bit=bit)
+        res = simulate(params_m2, rounds, bit, 11, 22, strategy=strategy)
+        assert res.strategy is strategy
+        replay_decisions(res)
+
+    def test_replays_a_strategy_outside_the_registry(self, params_m2):
+        class Shifted(HonestAlice):
+            name = "shifted"
+
+            def respond(self, view, k, priv):
+                honest = super().respond(view, k, priv)
+                return tuple((v + 1) % priv.params.modulus for v in honest)
+
+        replay_decisions(simulate(params_m2, 3, 1, 11, 22, strategy=Shifted()))
 
     def test_replayable_with_zero_delays(self):
         # delta = 0 makes same-site delivery instantaneous: the rebuilt view

@@ -37,6 +37,12 @@ class TestStream:
         with pytest.raises(ValueError):
             Stream(1).below(0)
 
+    def test_below_takes_at_most_64_bits(self):
+        assert 0 <= Stream(1).below(1 << 64) < 1 << 64
+        # past 2**64 no 64-bit word is below the rejection limit
+        with pytest.raises(ValueError):
+            Stream(1).below((1 << 64) + 1)
+
     def test_below_covers_small_range_evenly(self):
         s = Stream(31337)
         counts = Counter(s.below(4) for _ in range(8000))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from rbc.agents import UnveilMessage
 from rbc.cli import main, verdict_to_json_obj
-from rbc.codec import Pair
 from rbc.netsim import RoundRecord, Transcript, run_protocol
 from rbc.rng import GENERATOR_ID
 from rbc.spacetime import ProtocolParams, SpacetimeEvent, exact_str
@@ -21,7 +20,8 @@ from rbc.transcript_io import (TranscriptFormatError, parse_transcript,
 from rbc.verifier import Verdict, verify
 
 from conftest import valid_params
-from mutations import with_pair, with_revealed, with_round, with_unveil, with_value
+from mutations import (MALFORMED_PAIR_IDS, MALFORMED_PAIRS, with_pair,
+                       with_revealed, with_round, with_unveil, with_value)
 
 
 def reference_serialize(t: Transcript) -> str:
@@ -33,7 +33,7 @@ def reference_serialize(t: Transcript) -> str:
         "challenge": {
             "start": exact_str(rec.challenge_start),
             "end": exact_str(rec.challenge_end),
-            "pairs": [[p.n0, p.n1] for p in rec.pairs],
+            "pairs": [list(p) for p in rec.pairs],
         },
         "response": {
             "end": exact_str(rec.response_end),
@@ -76,6 +76,15 @@ class TestRoundTrip:
         t = run_protocol(params_m3, 3, 1, 7, 9)
         assert parse_transcript(serialize_transcript(t)) == t
 
+    def test_pairs_are_plain_tuples(self, params_m3):
+        t = run_protocol(params_m3, 3, 1, 7, 9)
+        parsed = parse_transcript(serialize_transcript(t))
+        assert parsed == t
+        for transcript in (t, parsed):
+            for rec in transcript.rounds:
+                assert type(rec.pairs) is tuple
+                assert all(type(p) is tuple and len(p) == 2 for p in rec.pairs)
+
     def test_byte_identical_reserialization(self, params_m3):
         t = run_protocol(params_m3, 3, 1, 7, 9)
         text = serialize_transcript(t)
@@ -115,8 +124,8 @@ TIMES = st.builds(Fraction, st.integers(-10 ** 80, 10 ** 80),
 ROUND_RECORDS = st.builds(
     RoundRecord, round=st.integers(0, 9), site=st.integers(0, 3),
     challenge_start=TIMES, challenge_end=TIMES,
-    pairs=st.lists(st.builds(Pair, st.integers(-3, 2 ** 70),
-                             st.integers(-3, 2 ** 70)), max_size=4).map(tuple),
+    pairs=st.lists(st.tuples(st.integers(-3, 2 ** 70), st.integers(-3, 2 ** 70)),
+                   max_size=4).map(tuple),
     response_end=TIMES, values=RESIDUES)
 UNVEILS = st.builds(UnveilMessage, round=st.integers(0, 9), revealed=RESIDUES,
                     site=st.integers(0, 3), completes_at=TIMES)
@@ -190,9 +199,9 @@ NON_JSON_INTEGERS = [
      r"expected an integer, got None"),
     (lambda t: with_round(t, 1, round=True), r"rounds\[0\]\.k: "),
     (lambda t: with_round(t, 2, site=None), r"rounds\[1\]\.site: "),
-    (lambda t: with_pair(t, 2, 1, Pair(0, False)),
+    (lambda t: with_pair(t, 2, 1, (0, False)),
      r"rounds\[1\]\.challenge\.pairs\[1\]\[1\]: expected an integer, got False"),
-    (lambda t: with_pair(t, 1, 0, Pair(1.0, 2)), r"rounds\[0\]\.challenge\.pairs\[0\]\[0\]: "),
+    (lambda t: with_pair(t, 1, 0, (1.0, 2)), r"rounds\[0\]\.challenge\.pairs\[0\]\[0\]: "),
     (lambda t: with_revealed(t, 1, None), r"unveils\[0\]\.revealed\[1\]: "),
     (lambda t: with_unveil(t, round=None), r"unveils\[0\]\.round: "),
     (lambda t: with_unveil(t, site=True), r"unveils\[0\]\.site: "),
@@ -207,6 +216,12 @@ class TestWriterRefusesNonJson:
     def test_field_named(self, params_m2, mutate, message):
         t = mutate(run_protocol(params_m2, 2, 0, 1, 2))
         with pytest.raises(ValueError, match="^" + message):
+            serialize_transcript(t)
+
+    @pytest.mark.parametrize("pair", MALFORMED_PAIRS, ids=MALFORMED_PAIR_IDS)
+    def test_malformed_pair_named(self, params_m2, pair):
+        t = with_pair(run_protocol(params_m2, 2, 0, 1, 2), 2, 1, pair)
+        with pytest.raises(ValueError, match=r"^rounds\[1\]\.challenge\.pairs\[1\]"):
             serialize_transcript(t)
 
     def test_negative_integers_still_written(self, params_m2):

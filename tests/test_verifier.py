@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from rbc.codec import Pair
 from rbc.netsim import RoundRecord, Transcript, aggregate_event, run_protocol
 from rbc.cli import verdict_to_json_obj
 from rbc.spacetime import (ProtocolParams, SpacetimeEvent, exact_str,
@@ -16,7 +15,8 @@ from rbc.verifier import (COUNT_MISMATCH, DECODE_MISMATCH,
                           RANGE_ERROR, SITE_MISMATCH, TIMING_VIOLATION,
                           backward_decode, verify)
 
-from mutations import EPS, with_pair, with_revealed, with_round, with_unveil, with_value
+from mutations import (EPS, MALFORMED_PAIR_IDS, MALFORMED_PAIRS, with_pair,
+                       with_revealed, with_round, with_unveil, with_value)
 
 
 @pytest.fixture
@@ -27,23 +27,23 @@ def honest(params_m2):
 class TestBackwardDecode:
     def test_single_round(self):
         rounds = (RoundRecord(1, 1, Fraction(0), Fraction(1, 100),
-                              (Pair(1, 2),), Fraction(3, 200), (0,)),)
+                              ((1, 2),), Fraction(3, 200), (0,)),)
         assert backward_decode(rounds, [3], 2) == (0, None)
 
     def test_two_round_chain(self):
         # round 2 opens to bits [1, 1] -> key 3 -> round 1 opens to bit 0
         r1 = RoundRecord(1, 1, Fraction(0), Fraction(1, 100),
-                         (Pair(1, 2),), Fraction(3, 200), (0,))
+                         ((1, 2),), Fraction(3, 200), (0,))
         r2 = RoundRecord(2, 2, Fraction(1), Fraction(2),
-                         (Pair(0, 1), Pair(2, 3)), Fraction(3), (2, 1))
+                         ((0, 1), (2, 3)), Fraction(3), (2, 1))
         assert backward_decode((r1, r2), [1, 2], 2) == (0, None)
 
     def test_reports_first_invalid_position(self):
         r1 = RoundRecord(1, 1, Fraction(0), Fraction(1, 100),
-                         (Pair(1, 2),), Fraction(3, 200), (0,))
+                         ((1, 2),), Fraction(3, 200), (0,))
         # position 1 response moved to 3: 3 - key 2 = 1, in neither member
         r2 = RoundRecord(2, 2, Fraction(1), Fraction(2),
-                         (Pair(0, 1), Pair(2, 3)), Fraction(3), (2, 3))
+                         ((0, 1), (2, 3)), Fraction(3), (2, 3))
         bit, position = backward_decode((r1, r2), [1, 2], 2)
         assert bit is None and position == (2, 1)
 
@@ -51,9 +51,9 @@ class TestBackwardDecode:
         # moving the round-2 position-1 response to 0 re-encodes bit 0 there,
         # so the failure surfaces one round earlier with the altered key
         r1 = RoundRecord(1, 1, Fraction(0), Fraction(1, 100),
-                         (Pair(1, 2),), Fraction(3, 200), (0,))
+                         ((1, 2),), Fraction(3, 200), (0,))
         r2 = RoundRecord(2, 2, Fraction(1), Fraction(2),
-                         (Pair(0, 1), Pair(2, 3)), Fraction(3), (2, 0))
+                         ((0, 1), (2, 3)), Fraction(3), (2, 0))
         bit, position = backward_decode((r1, r2), [1, 2], 2)
         assert bit is None and position == (1, 0)
 
@@ -101,7 +101,7 @@ class TestValueMutations:
             if verdict.accepted:
                 assert verdict.bit == 0
                 delta = (value - old) % 4
-                assert (pair.n0 - pair.n1) % 4 == delta
+                assert (pair[0] - pair[1]) % 4 == delta
             else:
                 assert verdict.reason == DECODE_MISMATCH
 
@@ -124,26 +124,45 @@ class TestPairMutations:
         # member orphans the honest response.
         t = run_protocol(params_m2, 1, 1, 3, 4)
         pair = t.rounds[0].pairs[0]
-        assert (t.rounds[0].values[0] - t.unveils[0].revealed[0]) % 4 == pair.n1
+        assert (t.rounds[0].values[0] - t.unveils[0].revealed[0]) % 4 == pair[1]
         for candidate in range(4):
-            if candidate in (pair.n0, pair.n1):
+            if candidate in (pair[0], pair[1]):
                 continue
-            verdict = verify(with_pair(t, 1, 0, Pair(pair.n0, candidate)))
+            verdict = verify(with_pair(t, 1, 0, (pair[0], candidate)))
             assert verdict.reason == DECODE_MISMATCH
 
     def test_unused_member_mutation_keeps_bit(self, params_m2):
         t = run_protocol(params_m2, 1, 1, 3, 4)
         pair = t.rounds[0].pairs[0]
         for candidate in range(4):
-            if candidate in (pair.n0, pair.n1):
+            if candidate in (pair[0], pair[1]):
                 continue
-            verdict = verify(with_pair(t, 1, 0, Pair(candidate, pair.n1)))
+            verdict = verify(with_pair(t, 1, 0, (candidate, pair[1])))
             assert verdict.accepted and verdict.bit == 1
 
     def test_equal_members_rejected_as_duplicate(self, honest):
         pair = honest.rounds[1].pairs[0]
-        verdict = verify(with_pair(honest, 2, 0, Pair(pair.n0, pair.n0)))
+        verdict = verify(with_pair(honest, 2, 0, (pair[0], pair[0])))
         assert verdict.reason == DUPLICATE_PAIR_MEMBERS
+
+    @pytest.mark.parametrize("pair", MALFORMED_PAIRS, ids=MALFORMED_PAIR_IDS)
+    def test_malformed_entry_rejected_as_range_error(self, honest, pair):
+        verdict = verify(with_pair(honest, 2, 1, pair))
+        assert verdict.reason == RANGE_ERROR
+        assert verdict.reject_position == (2, 1)
+
+    @pytest.mark.parametrize("pair", MALFORMED_PAIRS, ids=MALFORMED_PAIR_IDS)
+    def test_malformed_entry_keeps_walk_order(self, honest, pair):
+        # an earlier duplicate still wins; a later bad response still loses
+        first = honest.rounds[1].pairs[0]
+        earlier = with_pair(honest, 2, 0, (first[0], first[0]))
+        verdict = verify(with_pair(earlier, 2, 1, pair))
+        assert verdict.reason == DUPLICATE_PAIR_MEMBERS
+        assert verdict.reject_position == (2, 0)
+        later = with_value(honest, 2, 0, 4)
+        verdict = verify(with_pair(later, 2, 1, pair))
+        assert verdict.reason == RANGE_ERROR
+        assert verdict.reject_position == (2, 1)
 
 
 class TestTimingMutations:
@@ -217,9 +236,9 @@ class TestSiteAndShapeMutations:
     @pytest.mark.parametrize("mutate", [
         lambda t: with_value(t, 2, 1, 4),
         lambda t: with_value(t, 2, 1, True),
-        lambda t: with_pair(t, 2, 1, Pair(float(t.rounds[1].pairs[1].n0),
-                                          t.rounds[1].pairs[1].n1)),
-        lambda t: with_pair(t, 2, 1, Pair(-1, t.rounds[1].pairs[1].n1)),
+        lambda t: with_pair(t, 2, 1, (float(t.rounds[1].pairs[1][0]),
+                                      t.rounds[1].pairs[1][1])),
+        lambda t: with_pair(t, 2, 1, (-1, t.rounds[1].pairs[1][1])),
     ], ids=["too_large", "bool_response", "float_pair_member",
             "negative_pair_member"])
     def test_out_of_range_response(self, honest, mutate):
