@@ -15,9 +15,9 @@ from .agents import (AliceState, UnveilMessage, alice_response, bob_challenge,
                      make_tape)
 from .analysis import (CapacityReport, capacity_report, round_traffic_bits,
                        tape_consumed)
-from .codec import (CommitResponse, PairChallenge, RandomTape, binary_form,
-                    commit_one, commit_round, decode_one, from_binary,
-                    round_payload_bits, segment_bounds)
+from .codec import (PairChallenge, RandomTape, binary_form, commit_one,
+                    commit_round, decode_one, from_binary, round_payload_bits,
+                    segment_bounds)
 from .netsim import (CausalView, HonestAlice, RoundRecord, SimResult,
                      TimedMessage, Transcript, aggregate_event, causal_view,
                      replay_decisions, run_protocol, simulate)

@@ -31,11 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .agents import alice_response, round_bits
-from .codec import binary_form
-from .netsim import (AlicePrivate, CausalView, HonestAlice, simulate)
+from .agents import round_bits
+from .codec import binary_forms
+from .netsim import (AlicePrivate, CausalView, HonestAlice, RoundRecord,
+                     simulate)
 from .rng import Stream, derive_seed
-from .spacetime import ProtocolParams, round_site
+from .spacetime import ProtocolParams
 from .verifier import verify
 
 
@@ -59,28 +60,20 @@ class HonestRelabelAlice(HonestAlice):
     name = "honest-relabel"
 
 
-def _known_rounds(view: CausalView, last_round: int,
-                  priv: AlicePrivate) -> dict[int, tuple[tuple, tuple[int, ...]]]:
-    """Rounds 1..R-1 as (pairs, response values), from the causal view only.
+def _known_rounds(view: CausalView, last_round: int) -> list[RoundRecord]:
+    """The records of rounds 1..R-1, from the causal view only.
 
-    Own-site rounds come from delivered challenges (responses recomputed,
-    since this strategy responds honestly); twin-site rounds from relays,
-    which the schedule guarantees have arrived by the unveil time for every
-    round up to R-2.
+    Own-site rounds come from their delivered responses and twin-site
+    rounds from relays, both RoundRecords.  By the unveil time every
+    own-site response and the relays of rounds up to R-2 have arrived, so
+    only the unveiler at round R-1's site is sure to find them all.
     """
-    known = {}
+    known = []
     for k in range(1, last_round):
-        if round_site(k) == view.site:
-            challenge = view.challenge_for(k)
-            if challenge is None:
-                raise LookupError(f"round {k} challenge missing from causal view")
-            response = alice_response(k, challenge, priv.state, priv.params)
-            known[k] = (challenge.pairs, response.values)
-        else:
-            relay = view.relay_for(k)
-            if relay is None:
-                raise LookupError(f"round {k} relay missing from causal view")
-            known[k] = (relay.challenge.pairs, relay.response.values)
+        record = view.record_for(k)
+        if record is None:
+            raise LookupError(f"round {k} relay missing from causal view")
+        known.append(record)
     return known
 
 
@@ -104,21 +97,13 @@ def offset_guess_reveal(view: CausalView, last_round: int, target_bit: int,
             return true_keys
         return ((true_keys[0] + guesses.nonzero_residue(modulus)) % modulus,)
 
-    known = _known_rounds(view, last_round, priv)
+    first, *later = _known_rounds(view, last_round)
+    needed_keys = [(first.values[0] - first.pairs[0][target_bit]) % modulus]
+    for record in later:
+        needed_keys = [(record.values[j] - record.pairs[j][b]) % modulus
+                       for j, b in enumerate(binary_forms(needed_keys, m))]
 
-    pairs_1, values_1 = known[1]
-    needed_keys = [(values_1[0] - pairs_1[0][target_bit]) % modulus]
-    for k in range(2, last_round):
-        pairs_k, values_k = known[k]
-        needed_bits = []
-        for key in needed_keys:
-            needed_bits.extend(binary_form(key, m))
-        needed_keys = [(values_k[j] - pairs_k[j][b]) % modulus
-                       for j, b in enumerate(needed_bits)]
-
-    target_bits: list[int] = []
-    for key in needed_keys:
-        target_bits.extend(binary_form(key, m))
+    target_bits = binary_forms(needed_keys, m)
     true_bits = round_bits(last_round, priv.state, m)
 
     revealed = []

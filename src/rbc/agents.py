@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codec import (CommitResponse, PairChallenge, RandomTape, commit_round,
-                    round_payload_bits)
+from .codec import PairChallenge, RandomTape, commit_round, round_payload_bits
 from .rng import Stream, derive_seed
 from .spacetime import ProtocolParams
 from .analysis import tape_consumed
@@ -68,12 +67,11 @@ def round_bits(k: int, state: AliceState, m: int) -> list[int]:
 
 
 def alice_response(k: int, challenge: PairChallenge, state: AliceState,
-                   params: ProtocolParams) -> CommitResponse:
+                   params: ProtocolParams) -> tuple[int, ...]:
     """Honest response: commit round k's payload bits under segment-k keys."""
     bits = round_bits(k, state, params.m)
     keys = state.tape.segment(k, params.m)
-    return CommitResponse(round=k, values=tuple(
-        commit_round(bits, challenge.pairs, keys, params.modulus)))
+    return tuple(commit_round(bits, challenge.pairs, keys, params.modulus))
 
 
 def honest_unveil_time(params: ProtocolParams, last_round: int) -> Fraction:

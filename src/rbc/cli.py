@@ -5,7 +5,8 @@ Subcommands: run (simulate a protocol run to a transcript file), verify
 (traffic accounting).  Exit codes are a stable contract:
 
     0  success / verifier accepted
-    1  usage, invalid parameters, or unparseable file
+    1  usage, invalid parameters, unparseable file, or standard output
+       closed early
     2  protocol aborted (transcript still written, abort reason recorded)
     3  verifier rejected
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -172,7 +174,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (rbc verify t.json | head -1).
+        # Point stdout at devnull so the flush at exit raises nothing more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -7,11 +7,13 @@ pre-shared random tape.  Because the key is uniform, the response is
 uniform whichever bit was chosen (exact hiding); because n0 != n1, a
 revealed key decodes to at most one bit (the basis of binding).
 
-Round k commits the binary forms of the keys consumed in round k-1, so the
-tape is consumed in segments of size m**(k-1).  Tape indices are 0-based
-internally; external documentation counts entries from 1.  Pairs within one
-round are sampled independently, so the same pair may repeat across
-positions; distinctness inside each pair is required in every round.
+Round k commits the binary forms of the keys consumed in round k-1, each
+key least significant bit first and m bits long (binary_forms, also the
+expansion the forged chain uses), so the tape is consumed in segments of
+size m**(k-1).  Tape indices are 0-based internally; external
+documentation counts entries from 1.  Pairs within one round are sampled
+independently, so the same pair may repeat across positions; distinctness
+inside each pair is required in every round.
 
 The arithmetic runs unchecked on residues in [0, N), bits in {0, 1} and
 pairs of exactly two members: inputs are checked once where they enter,
@@ -34,14 +36,6 @@ class PairChallenge:
 
     round: int
     pairs: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class CommitResponse:
-    """One round's ordered list of committed residues, matching the challenge."""
-
-    round: int
-    values: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -104,6 +98,11 @@ def binary_form(x: int, m: int) -> list[int]:
     return [(x >> j) & 1 for j in range(m)]
 
 
+def binary_forms(values: Sequence[int], m: int) -> list[int]:
+    """The binary_form of each value, concatenated: m bits per value."""
+    return [bit for x in values for bit in binary_form(x, m)]
+
+
 def from_binary(bits: Sequence[int]) -> int:
     """Inverse of binary_form: sum of bits[j] * 2**j; bits are 0/1 from decode_one."""
     return sum(b << j for j, b in enumerate(bits))
@@ -133,10 +132,7 @@ def round_payload_bits(k: int, tape: RandomTape, m: int) -> list[int]:
     """
     if k < 2:
         raise ValueError("round 1 payload is the committed bit itself")
-    out: list[int] = []
-    for value in tape.segment(k - 1, m):
-        out.extend(binary_form(value, m))
-    return out
+    return binary_forms(tape.segment(k - 1, m), m)
 
 
 def commit_round(bits: Sequence[int], pairs: Sequence[tuple[int, int]],

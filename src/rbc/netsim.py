@@ -1,4 +1,4 @@
-"""Deterministic discrete-event message layer with light-cone enforcement.
+"""Deterministic message layer with light-cone enforcement.
 
 The simulator owns all timing: agents never pick times, they only map a
 causal view to data.  Every message carries its emission event and an
@@ -9,45 +9,47 @@ A strategy is invoked with a CausalView containing exactly the messages
 that have arrived at its site, so decisions cannot depend on spacelike
 information by construction.
 
-The event loop is single threaded and ordered by (time, site, sequence),
-so identical seeds give identical transcripts, byte for byte.  It keeps
-time as exact integer ticks of the params' clock (``ProtocolParams.clock``):
-windows, deadlines, arrivals and the aggregation come from the spacetime
-formulas evaluated on the geometry counted in ticks.  A time becomes a
-``Fraction`` only where it leaves the loop, in a message, view, decision,
-record, unveil or the aggregation, so every public time is a ``Fraction``
-of the same value the formulas give on the params.  Deadline
-misses, malformed strategy output and an unveil whose causal view lacks
-what the strategy needs (a LookupError) are recorded as transcript aborts,
-not raised.  Only protocol messages are modelled; channel tests run before
-the protocol starts are outside the simulator.
+Every instant is fixed in advance, so simulate walks rounds 1..R: round k's
+challenge is logged, then answered as it arrives, at the end of its window
+plus intra_delay.  The unveils share round R's answer instant; there site 1
+acts before site 2, and at one site the unveil precedes the answer.  The
+order rests on valid geometry: delta_t + 2*delta < T puts each answer
+before the next challenge, and delta_t + 4*delta < delta_x puts the unveil
+before its causal deadline.  Time is kept in exact integer ticks of the
+params' clock (``ProtocolParams.clock``) and becomes a ``Fraction`` only
+where it leaves the walk, so identical seeds give identical transcripts,
+byte for byte.  Response deadline misses, malformed strategy output and an
+unveil whose causal view lacks what the strategy needs (a LookupError) are
+recorded as transcript aborts, not raised.  Only protocol messages are
+modelled; channel tests run before the protocol starts are outside it.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .agents import (AliceState, UnveilMessage, alice_response,
                      bob_challenge, honest_unveil_time, make_tape)
-from .codec import MAX_M, CommitResponse, PairChallenge, first_non_residue
+from .codec import MAX_M, PairChallenge, first_non_residue
 from .rng import Stream, derive_seed
 from .spacetime import (ProtocolParams, SpacetimeEvent, round_site,
-                        round_window, unveil_deadline)
+                        round_window)
 
 @dataclass(frozen=True)
-class RoundRelay:
-    """Colluding-Alice forward of one completed round to the twin site.
-
-    Travels at the cross-site minimum like everything else; this is the only
-    way post-start information moves between cheating agents.
-    """
+class RoundRecord:
+    """One committed round as it appears in the transcript.  It is also the
+    payload of the round's response and of the colluding-Alice relay to the
+    twin site, the only way post-start information moves between agents."""
 
     round: int
-    challenge: PairChallenge
-    response: CommitResponse
+    site: int
+    challenge_start: Fraction
+    challenge_end: Fraction
+    pairs: tuple
+    response_end: Fraction
+    values: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,9 @@ class CausalView:
                 return msg.payload
         return None
 
-    def relay_for(self, k: int) -> Optional[RoundRelay]:
+    def record_for(self, k: int) -> Optional[RoundRecord]:
         for msg in self.messages:
-            if isinstance(msg.payload, RoundRelay) and msg.payload.round == k:
+            if isinstance(msg.payload, RoundRecord) and msg.payload.round == k:
                 return msg.payload
         return None
 
@@ -117,24 +119,11 @@ class HonestAlice:
         challenge = view.challenge_for(k)
         if challenge is None:
             raise ValueError(f"round {k} challenge not in causal view")
-        return alice_response(k, challenge, priv.state, priv.params).values
+        return alice_response(k, challenge, priv.state, priv.params)
 
     def unveil(self, view: CausalView, last_round: int,
                priv: AlicePrivate) -> tuple[int, ...]:
         return priv.state.tape.segment(last_round, priv.params.m)
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """One committed round as it appears in the transcript."""
-
-    round: int
-    site: int
-    challenge_start: Fraction
-    challenge_end: Fraction
-    pairs: tuple
-    response_end: Fraction
-    values: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -204,8 +193,12 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
     Honest Bob agents always follow the schedule: round k's challenge
     transmission occupies [(k-1)T, (k-1)T + delta_t] at round_site(k), and
     Alice's reply completes the instant the challenge arrives.  The unveil
-    is scheduled at the honest mirror time; strategies choose only data.
+    is at the honest mirror time; strategies choose only data.  Params with
+    problems() are refused: the walk's order holds only for valid geometry.
     """
+    problems = params.problems()
+    if problems:
+        raise ValueError(f"invalid geometry: {'; '.join(problems)}")
     if params.m > MAX_M:
         raise ValueError(f"m={params.m} above {MAX_M}, the largest m a "
                          f"transcript holds")
@@ -219,58 +212,42 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
     strategy = resolve_strategy(strategy)
 
     priv = _alice_private(params, rounds, bit, alice_seed)
-    # The loop keeps time in integer ticks; at() gives the Fraction of each
+    # The walk keeps time in integer ticks; at() gives the Fraction of each
     # time that leaves it.
     clock = params.clock
     ticks, at = clock.ticks, clock.time
 
     log: list[TimedMessage] = []
-    records: dict[int, RoundRecord] = {}
+    records: list[RoundRecord] = []
     # (tick, site) of every completed response and unveil, for aggregation
     completions: list[tuple[int, int]] = []
     unveils: list[UnveilMessage] = []
     decisions: list[Decision] = []
     abort: Optional[str] = None
 
-    heap: list[tuple] = []
-    seq = 0
-
-    def schedule(tick: int, site: int, tag: str, data) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (tick, site, seq, tag, data))
-        seq += 1
-
     def emit(payload, tick: int, from_site: int, to_site: int) -> None:
-        """Log a message and queue its delivery: one intra_delay later at
-        the same site, cross_delay later at the other."""
+        """Log a message arriving one intra_delay later at the same site,
+        cross_delay later at the other."""
         arrival = tick + (ticks.intra_delay if to_site == from_site
                           else ticks.cross_delay)
-        msg = TimedMessage(payload, SpacetimeEvent(at(tick), from_site),
-                           to_site, at(arrival))
-        log.append(msg)
-        schedule(arrival, to_site, "deliver", msg)
+        log.append(TimedMessage(payload, SpacetimeEvent(at(tick), from_site),
+                                to_site, at(arrival)))
 
-    for k in range(1, rounds + 1):
-        schedule(round_window(ticks, k)[0], round_site(k), "challenge", k)
-    unveil_sites = [3 - round_site(rounds)]
-    if dual_unveil:
-        unveil_sites.append(round_site(rounds))
-    for site in unveil_sites:
-        schedule(honest_unveil_time(ticks, rounds), site, "unveil", None)
-
-    def on_challenge(k: int, now: int) -> None:
+    def send_challenge(k: int) -> PairChallenge:
+        """Log round k's challenge, sent as its window ends."""
         site = round_site(k)
-        challenge = bob_challenge(k, params,
-                                  Stream(derive_seed(bob_seed, "bob", site, k)))
-        emit(challenge, round_window(ticks, k)[1], site, site)
+        payload = bob_challenge(k, params,
+                                Stream(derive_seed(bob_seed, "bob", site, k)))
+        emit(payload, round_window(ticks, k)[1], site, site)
+        return payload
 
-    def on_deliver(msg: TimedMessage, now: int) -> None:
-        payload = msg.payload
-        if not isinstance(payload, PairChallenge):
-            return
-        k = payload.round
-        site = msg.destination
+    def respond(challenge: PairChallenge) -> None:
+        """Answer a challenge the instant it arrives; relay the record if
+        the strategy wants relays."""
+        k = challenge.round
+        site = round_site(k)
         start, end, response_deadline = round_window(ticks, k)
+        now = end + ticks.intra_delay
         if now > response_deadline:
             raise _Abort(f"round {k}: challenge arrived at {at(now)}, past the "
                          f"response deadline {at(response_deadline)}")
@@ -281,18 +258,17 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
                                   params.m ** (k - 1), params.modulus,
                                   f"round {k} response")
         decisions.append(Decision("respond", site, time, k, view, values, log_size))
-        emit(CommitResponse(round=k, values=values), now, site, site)
-        records[k] = RoundRecord(round=k, site=site, challenge_start=at(start),
-                                 challenge_end=at(end), pairs=payload.pairs,
-                                 response_end=time, values=values)
+        record = RoundRecord(round=k, site=site, challenge_start=at(start),
+                             challenge_end=at(end), pairs=challenge.pairs,
+                             response_end=time, values=values)
+        records.append(record)
         completions.append((now, site))
+        emit(record, now, site, site)
         if strategy.wants_relays:
-            emit(RoundRelay(k, payload, CommitResponse(round=k, values=values)),
-                 now, site, 3 - site)
+            emit(record, now, site, 3 - site)
 
-    def on_unveil(site: int, now: int) -> None:
-        if now >= unveil_deadline(ticks, rounds) and site == 3 - round_site(rounds):
-            raise _Abort(f"unveil at {at(now)} missed the causal deadline")
+    def unveil(site: int) -> None:
+        now = honest_unveil_time(ticks, rounds)
         time = at(now)
         log_size = len(log)
         view = causal_view(site, time, log)
@@ -311,14 +287,16 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
         emit(message, now, site, site)
 
     try:
-        while heap:
-            tick, site, _, tag, data = heapq.heappop(heap)
-            if tag == "challenge":
-                on_challenge(data, tick)
-            elif tag == "deliver":
-                on_deliver(data, tick)
-            elif tag == "unveil":
-                on_unveil(site, tick)
+        for k in range(1, rounds):
+            respond(send_challenge(k))
+        last, last_site = send_challenge(rounds), round_site(rounds)
+        # Round R's answer and the unveils share one instant: site 1 acts
+        # before site 2, and at one site the unveil precedes the answer.
+        for site in (1, 2):
+            if site != last_site or dual_unveil:
+                unveil(site)
+            if site == last_site:
+                respond(last)
     except _Abort as stop:
         abort = stop.reason
 
@@ -327,7 +305,7 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
         tick, home = _aggregation(ticks, rounds, completions)
         aggregation = SpacetimeEvent(at(tick), home)
     transcript = Transcript(params=params,
-                            rounds=tuple(records[k] for k in sorted(records)),
+                            rounds=tuple(records),
                             unveils=tuple(unveils), aggregation=aggregation,
                             abort=abort, alice_seed=alice_seed, bob_seed=bob_seed)
     return SimResult(transcript=transcript, messages=tuple(log),

@@ -267,10 +267,10 @@ class TestCausalConfinement:
         res = simulate(params_m2, 3, 0, 11, 12, strategy=OffsetGuessAlice())
         (unveil,) = [d for d in res.decisions if d.kind == "unveil"]
         assert unveil.view.challenge_for(3) is None
-        assert unveil.view.relay_for(3) is None
+        assert unveil.view.record_for(3) is None
         # everything through round R-1 is available
         assert unveil.view.challenge_for(2) is not None
-        assert unveil.view.relay_for(1) is not None
+        assert unveil.view.record_for(1) is not None
 
     def test_attack_with_late_unveil_mutation_rejected(self, params_m2):
         from rbc.spacetime import unveil_deadline

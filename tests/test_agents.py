@@ -59,17 +59,17 @@ class TestAliceResponse:
     def test_round_one_example(self, params_m2):
         state = AliceState(0, RandomTape((3,)), 1)
         resp = alice_response(1, challenge_of([(1, 2)]), state, params_m2)
-        assert resp.values == (0,)
+        assert resp == (0,)
         # oracle: the commitment must decode back to the committed bit
-        assert decode_one(resp.values[0], (1, 2), 3, 4) == 0
+        assert decode_one(resp[0], (1, 2), 3, 4) == 0
 
     def test_round_two_example(self, params_m2):
         state = AliceState(0, RandomTape((3, 1, 2)), 2)
         resp = alice_response(2, challenge_of([(0, 1), (2, 3)], k=2), state, params_m2)
-        assert resp.values == (2, 1)
+        assert resp == (2, 1)
         # oracle: payload bits are the binary form of tape[0] = 3 -> [1, 1]
-        assert decode_one(resp.values[0], (0, 1), 1, 4) == 1
-        assert decode_one(resp.values[1], (2, 3), 2, 4) == 1
+        assert decode_one(resp[0], (0, 1), 1, 4) == 1
+        assert decode_one(resp[1], (2, 3), 2, 4) == 1
 
     def test_rejects_wrong_challenge_length(self, params_m2):
         state = AliceState(0, RandomTape((3, 1, 2)), 2)
@@ -87,7 +87,7 @@ class TestAliceResponse:
         tape = make_tape(p.m, k, seed)
         state = AliceState(bit, tape, k)
         ch = bob_challenge(k, p, Stream(derive_seed(seed, "x", k)))
-        assert len(alice_response(k, ch, state, p).values) == len(ch.pairs)
+        assert len(alice_response(k, ch, state, p)) == len(ch.pairs)
 
 
 class TestAliceUnveil:

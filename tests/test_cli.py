@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rbc
 from rbc.cli import main
 from rbc.transcript_io import parse_transcript
 
@@ -213,3 +218,31 @@ class TestUsage:
             main(["run", "--m", "2", "--rounds", "1", "--bit", "2",
                   "--alice-seed", "1", "--bob-seed", "2", "--out", "-"])
         assert exc.value.code == 1
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early, as in rbc verify t.json | head -1,
+    ends the command with exit 1 and nothing on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{path}"],
+        ["attack", "--m", "2", "--rounds", "1", "--strategy", "offset-guess",
+         "--trials", "10", "--seed", "1"],
+        RUN_BASE + ["--out", "-"],
+        ["capacity", "--m", "4", "--baud", "1e9"],
+    ], ids=["verify", "attack", "run", "capacity"])
+    def test_exits_one_without_traceback(self, tmp_path, capsys, argv):
+        path = tmp_path / "t.json"
+        assert run_cli(RUN_BASE + ["--out", str(path)], capsys)[0] == 0
+        src = str(Path(rbc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rbc.cli",
+             *(arg.format(path=path) for arg in argv)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""

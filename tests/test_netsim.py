@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rbc.adversary import OffsetGuessAlice
 from rbc.agents import honest_unveil_time
 from rbc.codec import PairChallenge
-from rbc.netsim import (CausalView, HonestAlice, RoundRelay, TimedMessage,
+from rbc.netsim import (CausalView, HonestAlice, RoundRecord, TimedMessage,
                         aggregate_event, causal_view, replay_decisions,
                         run_protocol, simulate)
 from rbc.spacetime import (ProtocolParams, SpacetimeEvent, round_site,
@@ -36,7 +36,7 @@ class TestSend:
         # offset-guess relays each round to the twin site
         res = simulate(params_m2, 3, 0, 1, 2, strategy=OffsetGuessAlice())
         crossing = [m for m in res.messages if m.destination != m.sent.site]
-        assert crossing and all(isinstance(m.payload, RoundRelay)
+        assert crossing and all(isinstance(m.payload, RoundRecord)
                                 for m in crossing)
         for msg in crossing:
             assert msg.earliest_arrival == msg.sent.time + params_m2.cross_delay
@@ -199,6 +199,38 @@ class TestModulusBound:
         with pytest.raises(ValueError, match="m=65"):
             simulate(p, 1, 0, 3, 4)
 
+
+class TestWalkOrder:
+    """The fixed schedule's order at the instant round R's answer shares
+    with the unveils: site 1 before site 2, and at one site the unveil
+    before the answer."""
+
+    @pytest.mark.parametrize("rounds,strategy,decisions,messages,aborted", [
+        (1, "honest", [("unveil", 1, 1, 1), ("respond", 1, 1, 2),
+                       ("unveil", 2, 1, 3)], 4, False),
+        (1, "offset-guess", [("unveil", 1, 1, 1), ("respond", 1, 1, 2),
+                             ("unveil", 2, 1, 4)], 5, False),
+        (2, "honest", [("respond", 1, 1, 1), ("unveil", 1, 2, 3),
+                       ("unveil", 2, 2, 4), ("respond", 2, 2, 5)], 6, False),
+        (2, "offset-guess", [("respond", 1, 1, 1), ("unveil", 1, 2, 4)], 5,
+         True),
+    ])
+    def test_decision_order_and_log_sizes(self, params_m2, rounds, strategy,
+                                          decisions, messages, aborted):
+        res = simulate(params_m2, rounds, 1, 7, 9, strategy=strategy,
+                       dual_unveil=True)
+        assert [(d.kind, d.site, d.round, d.log_size)
+                for d in res.decisions] == decisions
+        assert len(res.messages) == messages
+        unveil_sites = [site for kind, site, _, _ in decisions if kind == "unveil"]
+        assert [u.site for u in res.transcript.unveils] == unveil_sites
+        assert (res.transcript.abort is not None) == aborted
+
+    def test_invalid_geometry_refused(self):
+        p = ProtocolParams.unchecked(2, Fraction(1), Fraction(1, 10),
+                                     Fraction(1, 100), Fraction(1, 10))
+        with pytest.raises(ValueError, match=r"10\*delta < delta_x"):
+            simulate(p, 3, 1, 1, 2)
 
 class TestBobIndependence:
     def test_challenges_identical_under_altered_responses(self, params_m2):
