@@ -23,6 +23,11 @@ medians of 3 runs: (10,4) 0.24 s, (7,6) 0.15 s, (5,7) 0.07 s, (4,8)
 0.04 s, (6,6) 0.03 s and (3,11) 0.27 s; single runs vary by about a third
 either way.  The implementable strategy guesses those offsets and its
 Monte Carlo rate must converge to the oracle value.
+
+Sum-binding, p0 + p1 <= 1 + eps (Lunghi et al.; Chakraborty, Chailloux and
+Leverrier, PRL 2015), is exactly 1 + optimal_flip_success at R = 1, by a
+best-response enumeration in the tests.  For R >= 2 that is only a lower
+bound (commit honestly, forge the other bit); the exact value is not known.
 """
 
 from __future__ import annotations
@@ -53,12 +58,6 @@ class OracleBudgetError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
-
-class HonestRelabelAlice(HonestAlice):
-    """Honest play counted as an 'attack' on the committed bit itself."""
-
-    name = "honest-relabel"
-
 
 def _known_rounds(view: CausalView, last_round: int) -> list[RoundRecord]:
     """The records of rounds 1..R-1, from the causal view only.
@@ -121,7 +120,6 @@ class OffsetGuessAlice(HonestAlice):
     target_bit = None flips the committed bit, the canonical attack.
     """
 
-    name = "offset-guess"
     wants_relays = True
 
     def __init__(self, target_bit: Optional[int] = None):
@@ -134,21 +132,6 @@ class OffsetGuessAlice(HonestAlice):
         return offset_guess_reveal(view, last_round, target, priv)
 
 
-_STRATEGIES = {
-    "honest": HonestAlice,
-    "honest-relabel": HonestRelabelAlice,
-    "offset-guess": OffsetGuessAlice,
-}
-
-
-def strategy_by_name(name: str):
-    try:
-        return _STRATEGIES[name]()
-    except KeyError:
-        raise ValueError(f"unknown strategy {name!r}; "
-                         f"known: {sorted(_STRATEGIES)}") from None
-
-
 # ---------------------------------------------------------------------------
 # Exact oracle
 # ---------------------------------------------------------------------------
@@ -158,6 +141,7 @@ def strategy_by_name(name: str):
 # of exact reduction.
 _STEPS_PER_CASE = 3
 _BIT_OPS_PER_STEP = 1 << 16
+_ORACLE_MAX_OPS = 10 ** 8  # optimal_flip_success's budget, about 7 s
 
 
 def _oracle_cost_estimate(m: int, last_round: int) -> int:
@@ -208,8 +192,7 @@ def _flip_weight_distribution(m: int) -> dict[int, Fraction]:
     return {w: Fraction(c, total) for w, c in counts.items()}
 
 
-def optimal_flip_success(m: int, last_round: int, *,
-                         max_ops: int = 10 ** 8) -> Fraction:
+def optimal_flip_success(m: int, last_round: int) -> Fraction:
     """Exact optimal success of a causally constrained unveil forgery.
 
     Every revealed list that decodes to the flipped bit is forced except at
@@ -226,8 +209,8 @@ def optimal_flip_success(m: int, last_round: int, *,
     if m < 2 or last_round < 1:
         raise ValueError("need m >= 2 and last_round >= 1")
     estimate = _oracle_cost_estimate(m, last_round)
-    if estimate > max_ops:
-        raise OracleBudgetError(estimate, max_ops)
+    if estimate > _ORACLE_MAX_OPS:
+        raise OracleBudgetError(estimate, _ORACLE_MAX_OPS)
 
     q = _best_position_flip_probability(1 << m)
     if last_round == 1:
@@ -285,6 +268,8 @@ class AttackOutcome:
 
 _ORACLE_ATTACH_OPS = 5 * 10 ** 6
 
+ATTACKS = ("offset-guess", "honest-relabel")  # run_attack's strategy names
+
 
 def run_attack(params: ProtocolParams, rounds: int, strategy_name: str,
                trials: int, seed: int) -> AttackOutcome:
@@ -297,13 +282,14 @@ def run_attack(params: ProtocolParams, rounds: int, strategy_name: str,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if strategy_name not in ("offset-guess", "honest-relabel"):
+    if strategy_name not in ATTACKS:
         raise ValueError(f"unknown attack strategy {strategy_name!r}")
-    strategy = strategy_by_name(strategy_name)
+    relabel = strategy_name == ATTACKS[1]
+    strategy = HonestAlice() if relabel else OffsetGuessAlice()
     successes = 0
     for i in range(trials):
         bit = Stream(derive_seed(seed, "trial", i, "bit")).bit()
-        target = bit if strategy_name == "honest-relabel" else 1 - bit
+        target = bit if relabel else 1 - bit
         result = simulate(params, rounds, bit,
                           derive_seed(seed, "trial", i, "alice"),
                           derive_seed(seed, "trial", i, "bob"),
@@ -313,7 +299,7 @@ def run_attack(params: ProtocolParams, rounds: int, strategy_name: str,
             successes += 1
 
     oracle: Optional[Fraction] = None
-    if strategy_name == "honest-relabel":
+    if relabel:
         oracle = Fraction(1)
     elif _oracle_cost_estimate(params.m, rounds) <= _ORACLE_ATTACH_OPS:
         oracle = optimal_flip_success(params.m, rounds)

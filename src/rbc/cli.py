@@ -5,9 +5,10 @@ Subcommands: run (simulate a protocol run to a transcript file), verify
 (traffic accounting).  Exit codes are a stable contract:
 
     0  success / verifier accepted
-    1  usage, invalid parameters, unparseable file, or standard output
-       closed early
-    2  protocol aborted (transcript still written, abort reason recorded)
+    1  usage, invalid parameters, unreadable, unwritable or unparseable
+       file, or standard output closed early
+    2  protocol aborted (transcript still written, abort reason recorded);
+       never from run, whose honest play on valid geometry cannot abort
     3  verifier rejected
 
 All randomness flows from the explicit seed flags.
@@ -21,7 +22,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .adversary import run_attack
+from .adversary import ATTACKS, run_attack
 from .analysis import capacity_report
 from .netsim import simulate
 from .spacetime import (GeometryError, ProtocolParams, exact_str, printable,
@@ -48,7 +49,7 @@ def _add_geometry(p: argparse.ArgumentParser, dx="1", delta="0.005", dt="0.01"):
     p.add_argument("--delta", default=delta, help="lab placement tolerance")
     p.add_argument("--dt", default=dt, help="per-round challenge window")
     p.add_argument("--intra-delay", default=None,
-                   help="same-site delay in [0, 2*delta]; default delta")
+                   help="same-site delay, at most min(2*delta, delta + dt)")
 
 
 def _params(args) -> ProtocolParams:
@@ -83,8 +84,12 @@ def _cmd_run(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     if result.transcript.abort is not None:
         print(f"protocol aborted: {result.transcript.abort}", file=sys.stderr)
         return EXIT_ABORT
@@ -147,8 +152,7 @@ def build_parser() -> _Parser:
     att = sub.add_parser("attack", help="Monte Carlo cheating trials")
     att.add_argument("--m", type=int, required=True)
     att.add_argument("--rounds", type=int, required=True)
-    att.add_argument("--strategy", required=True,
-                     choices=("offset-guess", "honest-relabel"))
+    att.add_argument("--strategy", required=True, choices=ATTACKS)
     att.add_argument("--trials", type=int, required=True)
     att.add_argument("--seed", type=int, required=True)
     _add_geometry(att)

@@ -4,7 +4,7 @@ The simulator owns all timing: agents never pick times, they only map a
 causal view to data.  Every message carries its emission event and an
 earliest arrival derived from worst-case geometry (a cross-site message takes
 exactly delta_x - 2*delta, the physical minimum and the security worst
-case; a same-site one takes the configured intra_delay in [0, 2*delta]).
+case; a same-site one takes the configured intra_delay, default delta).
 A strategy is invoked with a CausalView containing exactly the messages
 that have arrived at its site, so decisions cannot depend on spacelike
 information by construction.
@@ -14,14 +14,15 @@ challenge is logged, then answered as it arrives, at the end of its window
 plus intra_delay.  The unveils share round R's answer instant; there site 1
 acts before site 2, and at one site the unveil precedes the answer.  The
 order rests on valid geometry: delta_t + 2*delta < T puts each answer
-before the next challenge, and delta_t + 4*delta < delta_x puts the unveil
-before its causal deadline.  Time is kept in exact integer ticks of the
+before the next challenge, intra_delay <= delta + delta_t puts it by its
+response deadline, and delta_t + 4*delta < delta_x puts the unveil before
+its causal deadline.  Time is kept in exact integer ticks of the
 params' clock (``ProtocolParams.clock``) and becomes a ``Fraction`` only
 where it leaves the walk, so identical seeds give identical transcripts,
-byte for byte.  Response deadline misses, malformed strategy output and an
-unveil whose causal view lacks what the strategy needs (a LookupError) are
-recorded as transcript aborts, not raised.  Only protocol messages are
-modelled; channel tests run before the protocol starts are outside it.
+byte for byte.  Malformed strategy output and an unveil whose causal view
+lacks what the strategy needs (a LookupError) are recorded as transcript
+aborts, not raised.  Only protocol messages are modelled; channel tests run
+before the protocol starts are outside it.
 """
 
 from __future__ import annotations
@@ -110,16 +111,13 @@ def _alice_private(params: ProtocolParams, rounds: int, bit: int,
 
 
 class HonestAlice:
-    """Protocol-following strategy: honest responses, true keys at unveil."""
+    """Protocol-following strategy: honest responses, true keys at unveil.
+    Valid geometry puts round k's challenge in the view that answers it."""
 
-    name = "honest"
     wants_relays = False
 
     def respond(self, view: CausalView, k: int, priv: AlicePrivate) -> tuple[int, ...]:
-        challenge = view.challenge_for(k)
-        if challenge is None:
-            raise ValueError(f"round {k} challenge not in causal view")
-        return alice_response(k, challenge, priv.state, priv.params)
+        return alice_response(k, view.challenge_for(k), priv.state, priv.params)
 
     def unveil(self, view: CausalView, last_round: int,
                priv: AlicePrivate) -> tuple[int, ...]:
@@ -171,9 +169,7 @@ class SimResult:
 
 
 class _Abort(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """Ends a run; its message becomes the transcript's abort reason."""
 
 
 def _validate_values(values, count: int, modulus: int, what: str) -> tuple[int, ...]:
@@ -188,13 +184,14 @@ def _validate_values(values, count: int, modulus: int, what: str) -> tuple[int, 
 
 def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
              bob_seed: int, *, strategy=None, dual_unveil: bool = False) -> SimResult:
-    """Run rounds 1..R plus unveiling under the given Alice strategy.
+    """Run rounds 1..R plus unveiling under an Alice strategy object.
 
     Honest Bob agents always follow the schedule: round k's challenge
     transmission occupies [(k-1)T, (k-1)T + delta_t] at round_site(k), and
     Alice's reply completes the instant the challenge arrives.  The unveil
     is at the honest mirror time; strategies choose only data.  Params with
     problems() are refused: the walk's order holds only for valid geometry.
+    strategy=None plays HonestAlice().
     """
     problems = params.problems()
     if problems:
@@ -209,7 +206,7 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
     for name, seed in (("alice_seed", alice_seed), ("bob_seed", bob_seed)):
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
-    strategy = resolve_strategy(strategy)
+    strategy = HonestAlice() if strategy is None else strategy
 
     priv = _alice_private(params, rounds, bit, alice_seed)
     # The walk keeps time in integer ticks; at() gives the Fraction of each
@@ -246,11 +243,8 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
         the strategy wants relays."""
         k = challenge.round
         site = round_site(k)
-        start, end, response_deadline = round_window(ticks, k)
+        start, end, _ = round_window(ticks, k)
         now = end + ticks.intra_delay
-        if now > response_deadline:
-            raise _Abort(f"round {k}: challenge arrived at {at(now)}, past the "
-                         f"response deadline {at(response_deadline)}")
         time = at(now)
         log_size = len(log)
         view = causal_view(site, time, log)
@@ -298,7 +292,7 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
             if site == last_site:
                 respond(last)
     except _Abort as stop:
-        abort = stop.reason
+        abort = str(stop)
 
     aggregation = None
     if abort is None and unveils:
@@ -314,19 +308,11 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
 
 
 def run_protocol(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
-                 bob_seed: int, alice_strategy="honest", *,
+                 bob_seed: int, alice_strategy=None, *,
                  dual_unveil: bool = False) -> Transcript:
     """Convenience wrapper returning just the transcript."""
     return simulate(params, rounds, bit, alice_seed, bob_seed,
                     strategy=alice_strategy, dual_unveil=dual_unveil).transcript
-
-
-def resolve_strategy(strategy):
-    """Accept a strategy object or one of the registered names (None: honest)."""
-    if strategy is None or isinstance(strategy, str):
-        from . import adversary
-        return adversary.strategy_by_name("honest" if strategy is None else strategy)
-    return strategy
 
 
 def replay_decisions(result: SimResult) -> None:

@@ -108,7 +108,7 @@ class ProtocolParams:
         delta: laboratory placement tolerance.
         delta_t: length of the per-round challenge window.
         intra_delay: modelled one-way delay between same-site labs, any
-            exact value in [0, 2*delta]; defaults to delta, the midpoint.
+            exact value in [0, min(2*delta, delta + delta_t)]; default delta.
     """
 
     m: int
@@ -175,6 +175,8 @@ class ProtocolParams:
         Bounds quantify the protocol's "much less than" requirements:
         delta < delta_x/10, delta_t < delta_x/10, and additionally
         delta + 2*delta_t < T so consecutive round windows are disjoint.
+        intra_delay <= delta + delta_t makes a challenge, sent as its window
+        ends, reach the responder by its deadline start + delta + 2*delta_t.
         The params are immutable, so the checks run once per params object.
         """
         return list(self._problems)
@@ -204,6 +206,8 @@ class ProtocolParams:
             probs.append("round windows overlap: need delta + 2*delta_t < T")
         if not probs and not (0 <= self.intra_delay <= 2 * self.delta):
             probs.append("intra_delay must lie in [0, 2*delta]")
+        if not probs and self.intra_delay > self.delta + self.delta_t:
+            probs.append("response deadline missed: need intra_delay <= delta + delta_t")
         return tuple(probs)
 
 

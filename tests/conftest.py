@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from rbc.netsim import HonestAlice
 from rbc.spacetime import ProtocolParams
 
 
@@ -30,3 +31,12 @@ def valid_params(draw, m=st.integers(2, 5)):
     delta = Fraction(0) if draw(st.booleans()) else dx / draw(st.integers(11, 500))
     dt = dx / draw(st.integers(11, 500))
     return ProtocolParams(draw(m), dx, delta, dt)
+
+
+class ShortAnswer(HonestAlice):
+    """Answers round 2 on with one value too few: malformed output, which
+    simulate records as an abort at round 2."""
+
+    def respond(self, view, k, priv):
+        values = super().respond(view, k, priv)
+        return values[:-1] if k > 1 else values

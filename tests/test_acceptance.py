@@ -26,6 +26,7 @@ from rbc.spacetime import ProtocolParams, round_window, unveil_deadline
 from rbc.transcript_io import parse_transcript, serialize_transcript
 from rbc.verifier import verify
 
+from conftest import ShortAnswer
 from mutations import (EPS, with_pair, with_revealed, with_round, with_unveil,
                        with_value)
 
@@ -283,9 +284,9 @@ def test_criterion_7_serialization(grid_results):
         transcripts.append(simulate(params, 2, 1, seed, seed ^ 0xFF,
                                     dual_unveil=True).transcript)
         seed += 1
-    aborting = ProtocolParams(2, "1", "0.09", "0.001", intra_delay="0.18")
     while len(transcripts) < 975:
-        transcripts.append(simulate(aborting, 1, 0, seed, seed + 2).transcript)
+        transcripts.append(simulate(params, 2, 0, seed, seed + 2,
+                                    strategy=ShortAnswer()).transcript)
         seed += 1
     while len(transcripts) < SERIAL_TRANSCRIPTS:
         transcripts.append(simulate(params, 2, 0, seed, seed + 3,

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
-import inspect
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
-from rbc.adversary import (_ORACLE_ATTACH_OPS, OffsetGuessAlice,
-                           OracleBudgetError, _best_position_flip_probability,
+from rbc.adversary import (_ORACLE_ATTACH_OPS, _ORACLE_MAX_OPS,
+                           OffsetGuessAlice, OracleBudgetError,
+                           _best_position_flip_probability,
                            _flip_weight_distribution, _oracle_cost_estimate,
-                           optimal_flip_success, run_attack, strategy_by_name)
+                           optimal_flip_success, run_attack)
 from rbc.codec import binary_form
 from rbc.netsim import replay_decisions, simulate
 from rbc.spacetime import ProtocolParams
@@ -140,9 +141,8 @@ class TestOracle:
         assert optimal_flip_success(m, rounds) == convolution_flip_success(m, rounds)
 
     def test_benchmark_grid_fits_default_budget(self):
-        max_ops = inspect.signature(optimal_flip_success).parameters["max_ops"].default
         for m, rounds in ((6, 1), (6, 2), (5, 5), (3, 7)):
-            assert _oracle_cost_estimate(m, rounds) <= max_ops
+            assert _oracle_cost_estimate(m, rounds) <= _ORACLE_MAX_OPS
 
     def test_every_instance_attached_before_still_attaches(self):
         for m in range(2, 8):
@@ -280,12 +280,33 @@ class TestCausalConfinement:
         assert verify(late).reason == "timing_violation"
 
 
-class TestStrategyRegistry:
-    def test_known_names(self):
-        assert strategy_by_name("honest").name == "honest"
-        assert strategy_by_name("honest-relabel").name == "honest-relabel"
-        assert strategy_by_name("offset-guess").name == "offset-guess"
+def best_response_sum_binding(m: int) -> Fraction:
+    """max p0 + p1 at R = 1 over every deterministic committer, by enumeration.
 
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            strategy_by_name("nope")
+    The unveiler cannot see round 1's pair, so she fixes in advance the key
+    kappa_b she reveals to open bit b.  The responder sees the pair
+    (n0, n1), uniform over ordered distinct pairs, and answers the v that
+    opens the most bits; bit b opens iff v - kappa_b == n_b (mod N).  Shared
+    randomness is a mixture of such deterministic strategies, and p0 + p1 is
+    linear in the mixture, so it cannot beat the best of them.
+    """
+    modulus = 1 << m
+    pairs = list(permutations(range(modulus), 2))
+    best = 0
+    for k0, k1 in product(range(modulus), repeat=2):
+        total = sum(max(((v - k0) % modulus == n0) + ((v - k1) % modulus == n1)
+                        for v in range(modulus))
+                    for n0, n1 in pairs)
+        best = max(best, total)
+    return Fraction(best, len(pairs))
+
+
+class TestSumBinding:
+    """p0 + p1 <= 1 + eps, the binding form of Lunghi et al. and of
+    Chakraborty, Chailloux and Leverrier (PRL 2015), at R = 1."""
+
+    @pytest.mark.parametrize("m, value", [(2, Fraction(4, 3)),
+                                          (3, Fraction(8, 7)),
+                                          (4, Fraction(16, 15))])
+    def test_best_response_is_one_plus_flip_oracle(self, m, value):
+        assert best_response_sum_binding(m) == value == 1 + optimal_flip_success(m, 1)

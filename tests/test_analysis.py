@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rbc.analysis import capacity_report, round_traffic_bits, tape_consumed
+from rbc.netsim import simulate
+from rbc.spacetime import ProtocolParams
 
 
 class TestTapeConsumed:
@@ -41,6 +43,16 @@ class TestRoundTraffic:
     @given(st.integers(2, 12), st.integers(1, 10))
     def test_geometric_ratio(self, m, k):
         assert round_traffic_bits(m, k + 1) == m * round_traffic_bits(m, k)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 4])
+    def test_matches_simulated_rounds(self, m, rounds):
+        # two m-bit pair members per commitment plus one m-bit response
+        t = simulate(ProtocolParams(m, "1", "0.005", "0.01"), rounds, 1, 7, 9).transcript
+        assert [rec.round for rec in t.rounds] == list(range(1, rounds + 1))
+        for rec in t.rounds:
+            assert (2 * m * len(rec.pairs) + m * len(rec.values)
+                    == round_traffic_bits(m, rec.round))
 
 
 class TestMaxPracticalRounds:

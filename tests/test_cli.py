@@ -10,7 +10,10 @@ import pytest
 
 import rbc
 from rbc.cli import main
+from rbc.netsim import simulate
 from rbc.transcript_io import parse_transcript
+
+from conftest import ShortAnswer
 
 RUN_BASE = ["run", "--m", "2", "--rounds", "3", "--bit", "1",
             "--alice-seed", "7", "--bob-seed", "9"]
@@ -76,16 +79,39 @@ class TestRun:
         assert "rounds[1].challenge.start" in err
         assert not out.exists()
 
-    def test_abort_exits_two_and_records_reason(self, tmp_path, capsys):
+    def test_abort_exits_two_and_records_reason(self, tmp_path, capsys,
+                                                monkeypatch):
+        # run plays honestly and never aborts; an abort result from
+        # simulate, here from malformed strategy output, still exits 2
+        def short_answer_simulate(*args, **kwargs):
+            return simulate(*args, strategy=ShortAnswer(), **kwargs)
+
+        monkeypatch.setattr("rbc.cli.simulate", short_answer_simulate)
         out = tmp_path / "aborted.json"
-        code, _, err = run_cli(
-            ["run", "--m", "2", "--rounds", "1", "--bit", "0",
-             "--alice-seed", "1", "--bob-seed", "2", "--out", str(out),
-             "--dx", "1", "--delta", "0.09", "--dt", "0.001",
-             "--intra-delay", "0.18"], capsys)
+        code, _, err = run_cli(RUN_BASE + ["--out", str(out)], capsys)
         assert code == 2
         assert "aborted" in err
         assert parse_transcript(out.read_text()).abort is not None
+
+    def test_response_deadline_miss_geometry_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        code, _, err = run_cli(
+            ["run", "--m", "2", "--rounds", "2", "--bit", "0",
+             "--alice-seed", "1", "--bob-seed", "2", "--out", str(out),
+             "--dx", "1", "--delta", "0.05", "--dt", "0.01",
+             "--intra-delay", "0.1"], capsys)
+        assert code == 1
+        assert "intra_delay <= delta + delta_t" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unwritable_out_exits_one(self, tmp_path, capsys, target):
+        out = tmp_path / "nope" / "t.json" if target == "missing" else tmp_path
+        code, stdout, err = run_cli(RUN_BASE + ["--out", str(out)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith(f"cannot write {out}: ")
+        assert err.count("\n") == 1
 
     def test_dual_unveil_flag(self, tmp_path, capsys):
         out = tmp_path / "dual.json"

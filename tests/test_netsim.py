@@ -14,12 +14,19 @@ from rbc.codec import PairChallenge
 from rbc.netsim import (CausalView, HonestAlice, RoundRecord, TimedMessage,
                         aggregate_event, causal_view, replay_decisions,
                         run_protocol, simulate)
-from rbc.spacetime import (ProtocolParams, SpacetimeEvent, round_site,
-                           round_window, unveil_deadline)
+from rbc.spacetime import (GeometryError, ProtocolParams, SpacetimeEvent,
+                           round_site, round_window, unveil_deadline)
 from rbc.transcript_io import serialize_transcript
 from rbc.verifier import backward_decode, verify
 
-from conftest import valid_params
+from conftest import ShortAnswer, valid_params
+
+# Parametrize ids name the strategy classes as the attack CLI names them.
+_STRATEGY_IDS = {HonestAlice: "honest", OffsetGuessAlice: "offset-guess"}
+
+
+def _strategy_id(value):
+    return _STRATEGY_IDS.get(value) if isinstance(value, type) else None
 
 
 def _stamped(payload, time, from_site, to_site, params) -> TimedMessage:
@@ -136,13 +143,11 @@ class TestRunProtocol:
 
 class TestAbortPaths:
     def test_response_window_miss_recorded(self):
-        # delta > delta_t makes a maximal intra delay overshoot the window.
-        p = ProtocolParams(2, "1", "0.09", "0.001", intra_delay="0.18")
-        t = run_protocol(p, 1, 0, 1, 2)
-        assert t.abort is not None
-        assert "past the response deadline" in t.abort
-        assert t.rounds == ()
-        assert t.aggregation is None
+        # delta > delta_t lets a maximal intra delay overshoot the response
+        # deadline; such params are invalid, so no run can miss it.
+        with pytest.raises(GeometryError,
+                           match=r"intra_delay <= delta \+ delta_t"):
+            ProtocolParams(2, "1", "0.09", "0.001", intra_delay="0.18")
 
     def test_response_exactly_at_deadline_completes(self):
         # intra_delay = delta + delta_t: every challenge arrives exactly at
@@ -155,20 +160,11 @@ class TestAbortPaths:
         assert verify(t).bit == 1
 
     def test_malformed_strategy_output_recorded(self, params_m2):
-        class ShortAnswer(HonestAlice):
-            name = "short-answer"
-
-            def respond(self, view, k, priv):
-                return (0,) * (len(super().respond(view, k, priv)) - 1) if k > 1 \
-                    else super().respond(view, k, priv)
-
         t = run_protocol(params_m2, 2, 0, 1, 2, ShortAnswer())
         assert t.abort is not None and "expected 2 values" in t.abort
 
     def test_out_of_range_strategy_output_recorded(self, params_m2):
         class BigAnswer(HonestAlice):
-            name = "big-answer"
-
             def respond(self, view, k, priv):
                 return tuple(v + priv.params.modulus
                              for v in super().respond(view, k, priv))
@@ -206,18 +202,18 @@ class TestWalkOrder:
     before the answer."""
 
     @pytest.mark.parametrize("rounds,strategy,decisions,messages,aborted", [
-        (1, "honest", [("unveil", 1, 1, 1), ("respond", 1, 1, 2),
-                       ("unveil", 2, 1, 3)], 4, False),
-        (1, "offset-guess", [("unveil", 1, 1, 1), ("respond", 1, 1, 2),
-                             ("unveil", 2, 1, 4)], 5, False),
-        (2, "honest", [("respond", 1, 1, 1), ("unveil", 1, 2, 3),
-                       ("unveil", 2, 2, 4), ("respond", 2, 2, 5)], 6, False),
-        (2, "offset-guess", [("respond", 1, 1, 1), ("unveil", 1, 2, 4)], 5,
+        (1, HonestAlice, [("unveil", 1, 1, 1), ("respond", 1, 1, 2),
+                          ("unveil", 2, 1, 3)], 4, False),
+        (1, OffsetGuessAlice, [("unveil", 1, 1, 1), ("respond", 1, 1, 2),
+                               ("unveil", 2, 1, 4)], 5, False),
+        (2, HonestAlice, [("respond", 1, 1, 1), ("unveil", 1, 2, 3),
+                          ("unveil", 2, 2, 4), ("respond", 2, 2, 5)], 6, False),
+        (2, OffsetGuessAlice, [("respond", 1, 1, 1), ("unveil", 1, 2, 4)], 5,
          True),
-    ])
+    ], ids=_strategy_id)
     def test_decision_order_and_log_sizes(self, params_m2, rounds, strategy,
                                           decisions, messages, aborted):
-        res = simulate(params_m2, rounds, 1, 7, 9, strategy=strategy,
+        res = simulate(params_m2, rounds, 1, 7, 9, strategy=strategy(),
                        dual_unveil=True)
         assert [(d.kind, d.site, d.round, d.log_size)
                 for d in res.decisions] == decisions
@@ -235,8 +231,6 @@ class TestWalkOrder:
 class TestBobIndependence:
     def test_challenges_identical_under_altered_responses(self, params_m2):
         class Scrambled(HonestAlice):
-            name = "scrambled"
-
             def respond(self, view, k, priv):
                 honest = super().respond(view, k, priv)
                 return tuple((v + 1) % priv.params.modulus for v in honest)
@@ -261,8 +255,6 @@ class TestReplay:
 
     def test_replays_a_strategy_outside_the_registry(self, params_m2):
         class Shifted(HonestAlice):
-            name = "shifted"
-
             def respond(self, view, k, priv):
                 honest = super().respond(view, k, priv)
                 return tuple((v + 1) % priv.params.modulus for v in honest)
@@ -325,7 +317,8 @@ def _sha256(t) -> str:
 
 class TestPinnedRuns:
     """Exact bytes of runs off the honest path: an abort, a forged dual
-    unveil and a geometry whose denominators share no factor."""
+    unveil and a geometry whose denominators share no factor; and the
+    verdict on params no run can have."""
 
     def test_offset_guess_dual_unveil(self, params_m2):
         t = simulate(params_m2, 1, 1, 7, 9, strategy=OffsetGuessAlice(),
@@ -341,13 +334,16 @@ class TestPinnedRuns:
         assert _sha256(t) == (
             "92114c41d5ebe7972935b6bf6c67f05343e8f35136f499f7a84e8c64326ed2ec")
 
-    def test_response_window_miss(self):
-        p = ProtocolParams(2, "1", "0.09", "0.001", intra_delay="0.18")
-        t = run_protocol(p, 1, 0, 1, 2)
-        assert t.abort == ("round 1: challenge arrived at 181/1000, past the "
-                           "response deadline 23/250")
-        assert _sha256(t) == (
-            "5ed621c508663067d9d688ce031863ede4e30d463719bb81e9cec5b3e26a2392")
+    def test_response_window_miss(self, params_m2):
+        # Params whose challenges would arrive past the response deadline
+        # are invalid, so a transcript carrying them gets range_error.
+        honest = run_protocol(params_m2, 1, 0, 1, 2)
+        late = ProtocolParams.unchecked(2, Fraction(1), Fraction(9, 100),
+                                        Fraction(1, 1000), Fraction(18, 100))
+        verdict = verify(dataclasses.replace(honest, params=late))
+        assert (verdict.reason, verdict.detail) == (
+            "range_error", "invalid params: response deadline missed: "
+            "need intra_delay <= delta + delta_t")
 
     def test_coprime_denominators(self):
         p = ProtocolParams(3, Fraction(7, 3), Fraction(1, 97), Fraction(1, 31),
@@ -364,14 +360,16 @@ class TestTickClock:
 
     @given(valid_params(m=st.integers(2, 3)), st.sampled_from([0, 1, 2]),
            st.integers(1, 4), st.integers(0, 1),
-           st.sampled_from(["honest", "offset-guess"]), st.booleans(),
+           st.sampled_from([HonestAlice, OffsetGuessAlice]), st.booleans(),
            st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_times_match_fraction_geometry(self, base, intra, rounds, bit,
                                            strategy, dual, seed):
+        # the top draw is the largest valid delay, min(2*delta, delta + delta_t)
         p = ProtocolParams(base.m, base.delta_x, base.delta, base.delta_t,
-                           intra_delay=intra * base.delta)
-        res = simulate(p, rounds, bit, seed, seed + 1, strategy=strategy,
+                           intra_delay=min(intra * base.delta,
+                                           base.delta + base.delta_t))
+        res = simulate(p, rounds, bit, seed, seed + 1, strategy=strategy(),
                        dual_unveil=dual)
         t = res.transcript
         for rec in t.rounds:

@@ -136,8 +136,10 @@ class TestClock:
 
     @given(valid_params(), st.sampled_from([0, 1, 2]))
     def test_formulas_on_ticks_give_the_fraction_geometry(self, base, intra):
+        # the top draw is the largest valid delay, min(2*delta, delta + delta_t)
         p = ProtocolParams(base.m, base.delta_x, base.delta, base.delta_t,
-                           intra_delay=intra * base.delta)
+                           intra_delay=min(intra * base.delta,
+                                           base.delta + base.delta_t))
         clock = p.clock
         ticks, at = clock.ticks, clock.time
         for name in ("delta_x", "delta", "delta_t", "intra_delay", "period",

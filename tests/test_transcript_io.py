@@ -19,7 +19,7 @@ from rbc.transcript_io import (TranscriptFormatError, parse_transcript,
                                serialize_transcript)
 from rbc.verifier import Verdict, verify
 
-from conftest import valid_params
+from conftest import ShortAnswer, valid_params
 from mutations import (MALFORMED_PAIR_IDS, MALFORMED_PAIRS, with_pair,
                        with_revealed, with_round, with_unveil, with_value)
 
@@ -94,9 +94,8 @@ class TestRoundTrip:
         t = run_protocol(params_m2, 2, 0, 1, 2, dual_unveil=True)
         assert parse_transcript(serialize_transcript(t)) == t
 
-    def test_aborted_transcript_round_trip(self):
-        p = ProtocolParams(2, "1", "0.09", "0.001", intra_delay="0.18")
-        t = run_protocol(p, 1, 0, 1, 2)
+    def test_aborted_transcript_round_trip(self, params_m2):
+        t = run_protocol(params_m2, 2, 0, 1, 2, ShortAnswer())
         assert t.abort is not None
         again = parse_transcript(serialize_transcript(t))
         assert again == t and again.abort == t.abort
