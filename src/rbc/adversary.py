@@ -63,9 +63,11 @@ def _known_rounds(view: CausalView, last_round: int) -> list[RoundRecord]:
     """The records of rounds 1..R-1, from the causal view only.
 
     Own-site rounds come from their delivered responses and twin-site
-    rounds from relays, both RoundRecords.  By the unveil time every
-    own-site response and the relays of rounds up to R-2 have arrived, so
-    only the unveiler at round R-1's site is sure to find them all.
+    rounds from the relays every run sends, both RoundRecords.  By the
+    unveil time every own-site response and the relays of rounds up to R-2
+    have arrived, so only the unveiler at round R-1's site is sure to find
+    them all; a missing one raises LookupError, which simulate records as
+    an abort.
     """
     known = []
     for k in range(1, last_round):
@@ -92,17 +94,14 @@ def offset_guess_reveal(view: CausalView, last_round: int, target_bit: int,
     if last_round == 1:
         # Round 1 happened at the other site: the needed key is the response
         # minus the hidden pair member, so the whole offset is a guess.
-        if target_bit == priv.state.committed_bit:
-            return true_keys
-        return ((true_keys[0] + guesses.nonzero_residue(modulus)) % modulus,)
-
-    first, *later = _known_rounds(view, last_round)
-    needed_keys = [(first.values[0] - first.pairs[0][target_bit]) % modulus]
-    for record in later:
-        needed_keys = [(record.values[j] - record.pairs[j][b]) % modulus
-                       for j, b in enumerate(binary_forms(needed_keys, m))]
-
-    target_bits = binary_forms(needed_keys, m)
+        target_bits = [target_bit]
+    else:
+        first, *later = _known_rounds(view, last_round)
+        needed_keys = [(first.values[0] - first.pairs[0][target_bit]) % modulus]
+        for record in later:
+            needed_keys = [(record.values[j] - record.pairs[j][b]) % modulus
+                           for j, b in enumerate(binary_forms(needed_keys, m))]
+        target_bits = binary_forms(needed_keys, m)
     true_bits = round_bits(last_round, priv.state, m)
 
     revealed = []
@@ -115,21 +114,13 @@ def offset_guess_reveal(view: CausalView, last_round: int, target_bit: int,
 
 
 class OffsetGuessAlice(HonestAlice):
-    """Respond honestly, relay between sites, forge the unveil.
-
-    target_bit = None flips the committed bit, the canonical attack.
-    """
-
-    wants_relays = True
-
-    def __init__(self, target_bit: Optional[int] = None):
-        self.target_bit = target_bit
+    """Respond honestly, then forge the unveil of the flipped bit from the
+    relayed records in the causal view: the canonical attack."""
 
     def unveil(self, view: CausalView, last_round: int,
                priv: AlicePrivate) -> tuple[int, ...]:
-        bit = priv.state.committed_bit
-        target = (1 - bit) if self.target_bit is None else self.target_bit
-        return offset_guess_reveal(view, last_round, target, priv)
+        return offset_guess_reveal(view, last_round,
+                                   1 - priv.state.committed_bit, priv)
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,6 @@ def _add_geometry(p: argparse.ArgumentParser, dx="1", delta="0.005", dt="0.01"):
     p.add_argument("--dx", default=dx, help="site separation, light-seconds")
     p.add_argument("--delta", default=delta, help="lab placement tolerance")
     p.add_argument("--dt", default=dt, help="per-round challenge window")
-    p.add_argument("--intra-delay", default=None,
-                   help="same-site delay, at most min(2*delta, delta + dt)")
 
 
 def _params(args) -> ProtocolParams:
@@ -142,7 +140,6 @@ def build_parser() -> _Parser:
     run.add_argument("--out", required=True, help="output path, - for stdout")
     run.add_argument("--dual-unveil", action="store_true",
                      help="both Alice agents unveil")
-    _add_geometry(run)
     run.set_defaults(func=_cmd_run)
 
     ver = sub.add_parser("verify", help="verify a transcript file")
@@ -155,8 +152,13 @@ def build_parser() -> _Parser:
     att.add_argument("--strategy", required=True, choices=ATTACKS)
     att.add_argument("--trials", type=int, required=True)
     att.add_argument("--seed", type=int, required=True)
-    _add_geometry(att)
     att.set_defaults(func=_cmd_attack)
+    # the capacity does not depend on intra_delay, so only simulating
+    # commands take it
+    for p in (run, att):
+        _add_geometry(p)
+        p.add_argument("--intra-delay", default=None,
+                       help="same-site delay, at most min(2*delta, delta + dt)")
 
     cap = sub.add_parser("capacity", help="traffic vs channel-rate accounting")
     cap.add_argument("--m", type=int, required=True)

@@ -19,10 +19,12 @@ response deadline, and delta_t + 4*delta < delta_x puts the unveil before
 its causal deadline.  Time is kept in exact integer ticks of the
 params' clock (``ProtocolParams.clock``) and becomes a ``Fraction`` only
 where it leaves the walk, so identical seeds give identical transcripts,
-byte for byte.  Malformed strategy output and an unveil whose causal view
-lacks what the strategy needs (a LookupError) are recorded as transcript
-aborts, not raised.  Only protocol messages are modelled; channel tests run
-before the protocol starts are outside it.
+byte for byte.  Every strategy is treated alike: each answer is logged at
+its own site and relayed to the twin site, and the answer and the unveil
+are one decision step, so malformed output or a view that lacks what the
+strategy needs (a LookupError) ends the run as a transcript abort for
+either, not an exception.  Only protocol messages are modelled; channel
+tests run before the protocol starts are outside it.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from .spacetime import (ProtocolParams, SpacetimeEvent, round_site,
 @dataclass(frozen=True)
 class RoundRecord:
     """One committed round as it appears in the transcript.  It is also the
-    payload of the round's response and of the colluding-Alice relay to the
-    twin site, the only way post-start information moves between agents."""
+    payload of the round's response at its own site and of the relay to the
+    twin site that every run sends, the only way post-start information
+    moves between Alice's agents."""
 
     round: int
     site: int
@@ -112,9 +115,8 @@ def _alice_private(params: ProtocolParams, rounds: int, bit: int,
 
 class HonestAlice:
     """Protocol-following strategy: honest responses, true keys at unveil.
-    Valid geometry puts round k's challenge in the view that answers it."""
-
-    wants_relays = False
+    Valid geometry puts round k's challenge in the view that answers it;
+    the relayed records in its views go unread."""
 
     def respond(self, view: CausalView, k: int, priv: AlicePrivate) -> tuple[int, ...]:
         return alice_response(k, view.challenge_for(k), priv.state, priv.params)
@@ -143,17 +145,17 @@ class Transcript:
 
 @dataclass(frozen=True)
 class Decision:
-    """One strategy invocation: the view it got and the data it returned.
+    """One strategy invocation and the data it returned.
 
-    log_size is the number of messages that existed when the strategy was
-    invoked, so the exact view can be rebuilt from the message log prefix.
+    The view it got is its log prefix: causal_view(site, time,
+    messages[:log_size]), where log_size is the number of messages that
+    existed when the strategy was invoked.
     """
 
     kind: str  # "respond" | "unveil"
     site: int
     time: Fraction
     round: int
-    view: CausalView
     output: tuple[int, ...]
     log_size: int
 
@@ -238,46 +240,43 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
         emit(payload, round_window(ticks, k)[1], site, site)
         return payload
 
+    def decide(kind: str, site: int, now: int, k: int,
+               what: str) -> tuple[Fraction, tuple[int, ...]]:
+        """Call the strategy's `kind` method on the view at (site, now),
+        record the decision and note the completion.  Malformed output and
+        a LookupError (the view lacks what the strategy needs) end the run."""
+        time = at(now)
+        log_size = len(log)
+        try:
+            output = getattr(strategy, kind)(causal_view(site, time, log), k, priv)
+        except LookupError as missing:
+            raise _Abort(f"{kind} at site {site}: {missing}") from None
+        values = _validate_values(output, params.m ** (k - 1), params.modulus, what)
+        decisions.append(Decision(kind, site, time, k, values, log_size))
+        completions.append((now, site))
+        return time, values
+
     def respond(challenge: PairChallenge) -> None:
-        """Answer a challenge the instant it arrives; relay the record if
-        the strategy wants relays."""
+        """Answer a challenge the instant it arrives; log the record at its
+        own site and relay it to the twin site."""
         k = challenge.round
         site = round_site(k)
         start, end, _ = round_window(ticks, k)
         now = end + ticks.intra_delay
-        time = at(now)
-        log_size = len(log)
-        view = causal_view(site, time, log)
-        values = _validate_values(strategy.respond(view, k, priv),
-                                  params.m ** (k - 1), params.modulus,
-                                  f"round {k} response")
-        decisions.append(Decision("respond", site, time, k, view, values, log_size))
+        time, values = decide("respond", site, now, k, f"round {k} response")
         record = RoundRecord(round=k, site=site, challenge_start=at(start),
                              challenge_end=at(end), pairs=challenge.pairs,
                              response_end=time, values=values)
         records.append(record)
-        completions.append((now, site))
         emit(record, now, site, site)
-        if strategy.wants_relays:
-            emit(record, now, site, 3 - site)
+        emit(record, now, site, 3 - site)
 
     def unveil(site: int) -> None:
         now = honest_unveil_time(ticks, rounds)
-        time = at(now)
-        log_size = len(log)
-        view = causal_view(site, time, log)
-        try:
-            output = strategy.unveil(view, rounds, priv)
-        except LookupError as missing:
-            raise _Abort(f"unveil at site {site}: {missing}") from None
-        revealed = _validate_values(output, params.m ** (rounds - 1),
-                                    params.modulus, "unveil")
-        decisions.append(Decision("unveil", site, time, rounds, view, revealed,
-                                  log_size))
+        time, revealed = decide("unveil", site, now, rounds, "unveil")
         message = UnveilMessage(round=rounds, revealed=revealed, site=site,
                                 completes_at=time)
         unveils.append(message)
-        completions.append((now, site))
         emit(message, now, site, site)
 
     try:
@@ -319,27 +318,23 @@ def replay_decisions(result: SimResult) -> None:
     """Re-derive every recorded decision from its causal view alone.
 
     Rebuilds each view from the message-log prefix that existed at decision
-    time, checks it satisfies the causal predicate and matches the recorded
-    view, then re-invokes the run's strategy object, with Alice's private
-    inputs rebuilt from her seed, and requires identical output.  Raises
-    AssertionError on any divergence; this is the executable form of the
-    no-superluminal-information claim.
+    time, checks it satisfies the causal predicate, then re-invokes the
+    run's strategy method named by the decision's kind, with Alice's
+    private inputs rebuilt from her seed, and requires identical output.
+    Raises AssertionError on any divergence; this is the executable form of
+    the no-superluminal-information claim.
     """
     t = result.transcript
     strategy = result.strategy
     priv = _alice_private(t.params, result.planned_rounds, result.bit,
                           t.alice_seed)
     for decision in result.decisions:
-        for msg in decision.view.messages:
+        view = causal_view(decision.site, decision.time,
+                           result.messages[:decision.log_size])
+        for msg in view.messages:
             assert msg.destination == decision.site, "view leaked another site"
             assert msg.earliest_arrival <= decision.time, "view leaked the future"
-        rebuilt = causal_view(decision.site, decision.time,
-                              result.messages[:decision.log_size])
-        assert rebuilt == decision.view, "view is not a pure causal filter"
-        if decision.kind == "respond":
-            output = tuple(strategy.respond(rebuilt, decision.round, priv))
-        else:
-            output = tuple(strategy.unveil(rebuilt, decision.round, priv))
+        output = tuple(getattr(strategy, decision.kind)(view, decision.round, priv))
         assert output == decision.output, (
             f"{decision.kind} at round {decision.round} not reproducible "
             f"from its causal view")

@@ -21,10 +21,11 @@ the field, for a time longer than the parser accepts, so the writer never
 emits a file whose times the parser refuses.
 
 The header names the seed-expansion generator, making files
-self-describing, and records the run seeds when known.  Parsing validates
-structure and types only; semantic checks (ranges against the modulus,
-params invariants, timing) belong to the verifier, so a tampered but
-well-formed file parses and is then rejected with a precise reason.
+self-describing, and records the run seeds when known; a file naming any
+other generator is refused.  Parsing validates structure and types only;
+semantic checks (ranges against the modulus, params invariants, timing)
+belong to the verifier, so a tampered but well-formed file parses and is
+then rejected with a precise reason.
 
 A time string is accepted only in the form exact_str writes, which gives
 each time exactly one spelling: a bare integer with no leading zeros and
@@ -77,9 +78,7 @@ _PAD6, _PAD8 = " " * 6, " " * 8
 _SLOT = '"rounds": [],\n  "unveils": []'
 
 
-def _parse_time(text) -> Fraction:
-    if not isinstance(text, str):
-        raise TranscriptFormatError(f"time must be a string, got {text!r}")
+def _parse_time(text: str) -> Fraction:
     if len(text) > _MAX_TIME_CHARS or not _TIME_SHAPE.fullmatch(text):
         raise TranscriptFormatError(f"bad time string {text[:40]!r}: expected "
                                     f"an integer, decimal or p/q of at most "
@@ -123,15 +122,12 @@ def _all_residues(values: list) -> bool:
 
 
 def _int_list(values: list, what: str) -> tuple[int, ...]:
-    if _all_residues(values):
-        return tuple(values)
-    out = []
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise TranscriptFormatError(f"{what}: residues must be "
-                                        f"non-negative integers, got {v!r}")
-        out.append(v)
-    return tuple(out)
+    if not _all_residues(values):
+        for v in values:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise TranscriptFormatError(f"{what}: residues must be "
+                                            f"non-negative integers, got {v!r}")
+    return tuple(values)
 
 
 def _pairs(raw_pairs: list, what: str) -> tuple[tuple[int, int], ...]:
@@ -267,6 +263,9 @@ def parse_transcript(text: str) -> Transcript:
         raise TranscriptFormatError(f"unrecognized format {obj.get('format')!r}")
     if obj.get("version") != FORMAT_VERSION:
         raise TranscriptFormatError(f"unrecognized version {obj.get('version')!r}")
+    if obj.get("generator") != GENERATOR_ID:
+        raise TranscriptFormatError(f"unrecognized generator "
+                                    f"{obj.get('generator')!r}")
 
     p = _require(obj, "params", dict, "transcript")
     m = _require(p, "m", int, "params")

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from rbc.netsim import HonestAlice
+from rbc.adversary import OffsetGuessAlice, offset_guess_reveal
+from rbc.netsim import HonestAlice, causal_view
 from rbc.spacetime import ProtocolParams
 
 
@@ -40,3 +41,18 @@ class ShortAnswer(HonestAlice):
     def respond(self, view, k, priv):
         values = super().respond(view, k, priv)
         return values[:-1] if k > 1 else values
+
+
+class CommittedBitGuess(OffsetGuessAlice):
+    """Forges the committed bit itself, which needs no flipped position:
+    the offset-guess chain with no guess drawn."""
+
+    def unveil(self, view, last_round, priv):
+        return offset_guess_reveal(view, last_round,
+                                   priv.state.committed_bit, priv)
+
+
+def decision_view(result, decision):
+    """The causal view a decision got, rebuilt from its log prefix."""
+    return causal_view(decision.site, decision.time,
+                       result.messages[:decision.log_size])

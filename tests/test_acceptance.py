@@ -26,7 +26,7 @@ from rbc.spacetime import ProtocolParams, round_window, unveil_deadline
 from rbc.transcript_io import parse_transcript, serialize_transcript
 from rbc.verifier import verify
 
-from conftest import ShortAnswer
+from conftest import ShortAnswer, decision_view
 from mutations import (EPS, with_pair, with_revealed, with_round, with_unveil,
                        with_value)
 
@@ -256,7 +256,7 @@ def test_criterion_6_causality_replay(grid_results, fuzz_pool):
     api_ok = api_ok and respond_params == ["self", "view", "k", "priv"]
     for res in results[:50]:
         for decision in res.decisions:
-            for msg in decision.view.messages:
+            for msg in decision_view(res, decision).messages:
                 api_ok = api_ok and (msg.destination == decision.site
                                      and msg.earliest_arrival <= decision.time)
     report(6, "causality replay", api_ok,

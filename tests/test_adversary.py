@@ -15,6 +15,7 @@ from rbc.netsim import replay_decisions, simulate
 from rbc.spacetime import ProtocolParams
 from rbc.verifier import verify
 
+from conftest import CommittedBitGuess, decision_view
 from mutations import with_unveil
 
 
@@ -182,8 +183,7 @@ class TestForcedChain:
 
     def test_no_flip_positions_reveal_true_keys(self, params_m2):
         # targeting the committed bit itself needs no flips at all
-        res = simulate(params_m2, 2, 1, 3, 4,
-                       strategy=OffsetGuessAlice(target_bit=1))
+        res = simulate(params_m2, 2, 1, 3, 4, strategy=CommittedBitGuess())
         assert res.transcript.unveils[0].revealed == \
             simulate(params_m2, 2, 1, 3, 4).transcript.unveils[0].revealed
         assert verify(res.transcript).bit == 1
@@ -241,6 +241,10 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             run_attack(params_m2, 1, "mind-reading", 10, 1)
 
+    def test_no_trials_rejected(self, params_m2):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_attack(params_m2, 1, "offset-guess", 0, 1)
+
     def test_successes_pinned(self, params_m2):
         # exact count, so a clock or scheduling change that flips even one
         # trial shows; the rate tests above only bound it within 3 sigma
@@ -266,11 +270,12 @@ class TestCausalConfinement:
     def test_unveiler_view_excludes_last_round(self, params_m2):
         res = simulate(params_m2, 3, 0, 11, 12, strategy=OffsetGuessAlice())
         (unveil,) = [d for d in res.decisions if d.kind == "unveil"]
-        assert unveil.view.challenge_for(3) is None
-        assert unveil.view.record_for(3) is None
+        view = decision_view(res, unveil)
+        assert view.challenge_for(3) is None
+        assert view.record_for(3) is None
         # everything through round R-1 is available
-        assert unveil.view.challenge_for(2) is not None
-        assert unveil.view.record_for(1) is not None
+        assert view.challenge_for(2) is not None
+        assert view.record_for(1) is not None
 
     def test_attack_with_late_unveil_mutation_rejected(self, params_m2):
         from rbc.spacetime import unveil_deadline

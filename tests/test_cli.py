@@ -217,6 +217,12 @@ class TestCapacity:
             main(self.ARGS + ["--format", "xml"])
         assert exc.value.code == 1
 
+    def test_intra_delay_exits_one(self):
+        # the capacity does not depend on intra_delay, so the flag is unknown
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--intra-delay", "0.1"])
+        assert exc.value.code == 1
+
     def test_zero_baud_exits_one(self, capsys):
         code, _, err = run_cli(["capacity", "--m", "10", "--baud", "0"], capsys)
         assert code == 1

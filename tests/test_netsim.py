@@ -19,7 +19,8 @@ from rbc.spacetime import (GeometryError, ProtocolParams, SpacetimeEvent,
 from rbc.transcript_io import serialize_transcript
 from rbc.verifier import backward_decode, verify
 
-from conftest import ShortAnswer, valid_params
+from conftest import (CommittedBitGuess, ShortAnswer, decision_view,
+                      valid_params)
 
 # Parametrize ids name the strategy classes as the attack CLI names them.
 _STRATEGY_IDS = {HonestAlice: "honest", OffsetGuessAlice: "offset-guess"}
@@ -40,7 +41,7 @@ class TestSend:
     """The delay rule on the messages simulate logs."""
 
     def test_cross_site_arrival(self, params_m2):
-        # offset-guess relays each round to the twin site
+        # every round is relayed to the twin site
         res = simulate(params_m2, 3, 0, 1, 2, strategy=OffsetGuessAlice())
         crossing = [m for m in res.messages if m.destination != m.sent.site]
         assert crossing and all(isinstance(m.payload, RoundRecord)
@@ -50,9 +51,13 @@ class TestSend:
 
     def test_same_site_arrival_uses_intra_delay(self, params_m2):
         res = simulate(params_m2, 3, 0, 1, 2)
-        assert all(m.destination == m.sent.site for m in res.messages)
         for msg in res.messages:
-            assert msg.earliest_arrival == msg.sent.time + params_m2.intra_delay
+            if msg.destination == msg.sent.site:
+                assert msg.earliest_arrival == msg.sent.time + params_m2.intra_delay
+            else:
+                # an honest run's only crossing messages are the relays
+                assert isinstance(msg.payload, RoundRecord)
+                assert msg.earliest_arrival == msg.sent.time + params_m2.cross_delay
 
 
 class TestCausalView:
@@ -172,6 +177,24 @@ class TestAbortPaths:
         t = run_protocol(params_m2, 1, 0, 1, 2, BigAnswer())
         assert t.abort is not None and "outside" in t.abort
 
+    def test_respond_without_needed_relay_recorded(self, params_m2):
+        # The round-1 relay reaches site 2 only after round 2 is answered,
+        # so an answer that needs it aborts the run, as an unveil does.
+        class EchoesLastRound(HonestAlice):
+            def respond(self, view, k, priv):
+                if k > 1 and view.record_for(k - 1) is None:
+                    raise LookupError(f"round {k - 1} relay missing from "
+                                      f"causal view")
+                return super().respond(view, k, priv)
+
+        res = simulate(params_m2, 2, 0, 1, 2, strategy=EchoesLastRound())
+        assert res.transcript.abort == (
+            "respond at site 2: round 1 relay missing from causal view")
+        # site 1's unveil shares round 2's answer instant and comes first
+        assert [d.kind for d in res.decisions] == ["respond", "unveil"]
+        assert verify(res.transcript).reason == "incomplete_transcript"
+        replay_decisions(res)
+
     def test_unveil_without_needed_relay_recorded(self, params_m2):
         # The partner unveiler at round R's own site cannot have the twin
         # site's round-1 relay by the unveil time, so its forgery aborts.
@@ -203,11 +226,11 @@ class TestWalkOrder:
 
     @pytest.mark.parametrize("rounds,strategy,decisions,messages,aborted", [
         (1, HonestAlice, [("unveil", 1, 1, 1), ("respond", 1, 1, 2),
-                          ("unveil", 2, 1, 3)], 4, False),
+                          ("unveil", 2, 1, 4)], 5, False),
         (1, OffsetGuessAlice, [("unveil", 1, 1, 1), ("respond", 1, 1, 2),
                                ("unveil", 2, 1, 4)], 5, False),
-        (2, HonestAlice, [("respond", 1, 1, 1), ("unveil", 1, 2, 3),
-                          ("unveil", 2, 2, 4), ("respond", 2, 2, 5)], 6, False),
+        (2, HonestAlice, [("respond", 1, 1, 1), ("unveil", 1, 2, 4),
+                          ("unveil", 2, 2, 5), ("respond", 2, 2, 6)], 8, False),
         (2, OffsetGuessAlice, [("respond", 1, 1, 1), ("unveil", 1, 2, 4)], 5,
          True),
     ], ids=_strategy_id)
@@ -227,6 +250,13 @@ class TestWalkOrder:
                                      Fraction(1, 100), Fraction(1, 10))
         with pytest.raises(ValueError, match=r"10\*delta < delta_x"):
             simulate(p, 3, 1, 1, 2)
+
+    @pytest.mark.parametrize("rounds, bit, message", [
+        (0, 0, "rounds must be >= 1"), (1, 2, "bit must be 0 or 1")])
+    def test_bad_run_inputs_refused(self, params_m2, rounds, bit, message):
+        with pytest.raises(ValueError, match=message):
+            simulate(params_m2, rounds, bit, 1, 2)
+
 
 class TestBobIndependence:
     def test_challenges_identical_under_altered_responses(self, params_m2):
@@ -248,7 +278,7 @@ class TestReplay:
     @pytest.mark.parametrize("rounds", [1, 2, 3])
     def test_replays_the_run_strategy_object(self, params_m2, rounds, bit):
         # the registry's offset-guess flips the bit; this one keeps it
-        strategy = OffsetGuessAlice(target_bit=bit)
+        strategy = CommittedBitGuess()
         res = simulate(params_m2, rounds, bit, 11, 22, strategy=strategy)
         assert res.strategy is strategy
         replay_decisions(res)
@@ -272,7 +302,7 @@ class TestReplay:
     def test_every_view_satisfies_causal_predicate(self, params_m2):
         res = simulate(params_m2, 3, 0, 5, 6)
         for decision in res.decisions:
-            for msg in decision.view.messages:
+            for msg in decision_view(res, decision).messages:
                 assert msg.destination == decision.site
                 assert msg.earliest_arrival <= decision.time
 
@@ -282,7 +312,7 @@ class TestReplay:
         start, end, _ = round_window(params_m2, 1)
         assert respond.time == end + params_m2.intra_delay
         assert any(isinstance(m.payload, PairChallenge)
-                   for m in respond.view.messages)
+                   for m in decision_view(res, respond).messages)
 
 
 class TestAggregateEvent:

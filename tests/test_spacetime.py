@@ -27,6 +27,10 @@ class TestParams:
         with pytest.raises(GeometryError):
             ProtocolParams(2, "0.01", "0.001", "0.005")
 
+    def test_rejects_negative_delta(self):
+        with pytest.raises(GeometryError, match="delta must be >= 0"):
+            ProtocolParams(2, "1", "-0.001", "0.01")
+
     def test_rejects_wide_tolerance(self):
         # 10*delta >= delta_x
         with pytest.raises(GeometryError):

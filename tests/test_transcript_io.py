@@ -266,6 +266,12 @@ class TestParseErrors:
         with pytest.raises(TranscriptFormatError):
             parse_transcript("{truncated")
 
+    @pytest.mark.parametrize("text", ["[]", "1", '"x"', "null"])
+    def test_rejects_non_object_top_level(self, text):
+        with pytest.raises(TranscriptFormatError,
+                           match="top level must be an object"):
+            parse_transcript(text)
+
     def test_rejects_wrong_format_name(self, params_m2):
         obj = self.good_obj(params_m2)
         obj["format"] = "something-else"
@@ -385,8 +391,8 @@ def pair_path(k: int, j: int, *member) -> tuple:
 
 
 def fault_cases():
-    """(id, changes, message), each fault at the first, a middle and the
-    last index of its list."""
+    """(id, changes, message), each list fault at the first, a middle and
+    the last index of its list, then single bad fields elsewhere."""
     values = ("rounds", 2, "response", "values")
     revealed = ("unveils", 0, "revealed")
     for j in (0, 4, 8):
@@ -422,13 +428,42 @@ def fault_cases():
     yield ("first-of-two-bad-values",
            [(values + (3,), 1.0), (values + (1,), [1])],
            "rounds[2]: " + NOT_RESIDUE.format([1]))
+    # one bad field outside the residue lists
+    yield from [
+        ("generator-foreign", [(("generator",), "mt19937")],
+         "unrecognized generator 'mt19937'"),
+        ("generator-null", [(("generator",), None)],
+         "unrecognized generator None"),
+        ("generator-int", [(("generator",), 7)], "unrecognized generator 7"),
+        ("m-65", [(("params", "m"), 65)],
+         "m=65 outside the supported range [0, 64]"),
+        ("m-negative", [(("params", "m"), -1)],
+         "m=-1 outside the supported range [0, 64]"),
+        ("m-string", [(("params", "m"), "3")],
+         "params.m: expected integer, got '3'"),
+        ("k-bool", [(("rounds", 0, "k"), True)],
+         "rounds[0].k: expected integer, got True"),
+        ("rounds-object", [(("rounds",), {})],
+         "transcript.rounds: expected list, got {}"),
+        ("params-list", [(("params",), [])],
+         "transcript.params: expected dict, got []"),
+        ("time-number", [(("params", "delta_x"), 1)],
+         "params.delta_x: expected str, got 1"),
+        ("aggregation-negative-time", [(("aggregation", "time"), "-1")],
+         "aggregation: event time must be >= 0"),
+        ("aggregation-site-3", [(("aggregation", "site"), 3)],
+         "aggregation: site must be 1 or 2"),
+        ("abort-number", [(("abort",), 5)], "abort must be null or a string"),
+    ]
 
 
 FAULT_CASES = list(fault_cases())
 
 
+
 class TestReaderErrors:
-    """The first bad entry is named exactly, whichever list holds it."""
+    """The first bad entry is named exactly, whichever list holds it, and
+    so is a single bad field elsewhere in the file."""
 
     @pytest.mark.parametrize("changes, message",
                              [case[1:] for case in FAULT_CASES],

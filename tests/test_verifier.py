@@ -214,6 +214,12 @@ class TestSiteAndShapeMutations:
         verdict = verify(with_unveil(honest, site=round_site(3)))
         assert verdict.reason == SITE_MISMATCH
 
+    @pytest.mark.parametrize("site", [0, 3])
+    def test_unveil_site_not_a_site_id(self, honest, site):
+        verdict = verify(with_unveil(honest, site=site))
+        assert verdict.reason == SITE_MISMATCH
+        assert verdict.detail == f"unveil site {site} is not a site id"
+
     def test_wrong_round_site(self, honest):
         verdict = verify(with_round(honest, 2, site=1))
         assert verdict.reason == SITE_MISMATCH
