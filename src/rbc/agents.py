@@ -45,17 +45,24 @@ class UnveilMessage:
 
 
 def make_tape(m: int, planned_rounds: int, alice_seed: int) -> RandomTape:
-    """Materialize the shared tape for a planned run from one Alice seed."""
+    """Materialize the shared tape for a planned run from one Alice seed.
+
+    The keys are the stream's first tape_consumed(m, R) draws below 2**m,
+    taken in one batch (Stream.belows).
+    """
     stream = Stream(derive_seed(alice_seed, "alice", "tape"))
     n = tape_consumed(m, planned_rounds)
-    modulus = 1 << m
-    return RandomTape(tuple(stream.below(modulus) for _ in range(n)))
+    return RandomTape(tuple(stream.belows(1 << m, n)))
 
 
 def bob_challenge(k: int, params: ProtocolParams, stream: Stream) -> PairChallenge:
-    """m**(k-1) pairs, each uniform over ordered pairs of distinct residues."""
+    """m**(k-1) pairs, each uniform over ordered pairs of distinct residues.
+
+    The pairs are the stream's first m**(k-1) distinct_pair draws, taken in
+    one batch (Stream.distinct_pairs).
+    """
     count = params.m ** (k - 1)
-    pairs = tuple(stream.distinct_pair(params.modulus) for _ in range(count))
+    pairs = tuple(stream.distinct_pairs(params.modulus, count))
     return PairChallenge(round=k, pairs=pairs)
 
 

@@ -6,12 +6,14 @@ round window, the unveil against its strict causal deadline, and finally
 the unveiled keys are chained backwards, round R down to round 1, to
 recover the committed bit.
 
-Checks run in a fixed order (params, shape, timing, decode) so the reject
-reason for a given transcript is deterministic: the reported reason is the
-first failure.  Window endpoints are inclusive ("completed by" semantics);
-the unveil deadline is strict, the conservative choice at a light-cone
-bound.  A verdict is timestamped at the aggregation event, the earliest
-moment Bob actually holds all the data in one place.
+Checks run in a fixed order (params, shape, timing, aggregation, decode)
+so the reject reason for a given transcript is deterministic: the reported
+reason is the first failure.  Window endpoints are inclusive ("completed
+by" semantics); the unveil deadline is strict, the conservative choice at a
+light-cone bound.  A verdict is timestamped at the aggregation event, the
+earliest moment Bob actually holds all the data in one place; the file's
+recorded aggregation must be that event, or the transcript is rejected as
+a timing violation.
 """
 
 from __future__ import annotations
@@ -91,6 +93,12 @@ def backward_decode(rounds: Sequence[RoundRecord], revealed: Sequence[int],
     if bit is None:
         return None, (1, 0)
     return bit, None
+
+
+def _event_text(event: Optional[SpacetimeEvent]) -> str:
+    if event is None:
+        return "null"
+    return f"at {shown_time(event.time)} at site {event.site}"
 
 
 def _reject(reason: str, detail: str, issued_at=None, position=None) -> Verdict:
@@ -215,15 +223,21 @@ def verify(transcript: Transcript) -> Verdict:
         return _reject(RANGE_ERROR, "invalid params: " + "; ".join(problems))
 
     try:
-        issued_at = aggregate_event(transcript).time
+        aggregation = aggregate_event(transcript)
     except ValueError:
         # hostile timestamps can place aggregation before t=0; the timing
         # checks below reject such transcripts, just without a timestamp
-        issued_at = None
+        aggregation = None
+    issued_at = None if aggregation is None else aggregation.time
 
     verdict = _shape_problem(transcript) or _timing_problem(transcript)
     if verdict is not None:
         return replace(verdict, issued_at=issued_at)
+    if transcript.aggregation != aggregation:
+        return _reject(TIMING_VIOLATION, f"recorded aggregation "
+                       f"{_event_text(transcript.aggregation)} is not the "
+                       f"aggregation event {_event_text(aggregation)}",
+                       issued_at=issued_at)
 
     if len(transcript.unveils) == 2:
         a, b = transcript.unveils

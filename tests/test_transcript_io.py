@@ -163,6 +163,16 @@ class TestByteIdentity:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "4a4022569061db5f7eadcac6aa765c85e462c8b1f51811be26613dcf9262106e")
 
+    def test_cli_run_bytes_pinned_past_one_lane_block(self, tmp_path):
+        # 111,111 tape words and 222,222 challenge words: many full blocks
+        # of the rng lane kernel plus a short final one
+        out = tmp_path / "t.json"
+        assert main(["run", "--m", "10", "--rounds", "6", "--bit", "1",
+                     "--alice-seed", "1998", "--bob-seed", "9810068",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "34e771603b3cbb2a1dfb2539ae19412e57c98548eb243a41dc08c25434ee73c3")
+
     @pytest.mark.parametrize("rounds", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_honest_runs_match_reference(self, m, rounds):

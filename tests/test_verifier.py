@@ -75,11 +75,6 @@ class TestCompleteness:
     def test_verdict_timestamped_at_aggregation(self, honest):
         assert verify(honest).issued_at == aggregate_event(honest).time
 
-    def test_recorded_aggregation_is_ignored(self, honest):
-        doctored = dataclasses.replace(
-            honest, aggregation=SpacetimeEvent(Fraction(0), 1))
-        assert verify(doctored).issued_at == aggregate_event(honest).time
-
 
 class TestValueMutations:
     def test_bumped_response_value_rejected(self, honest):
@@ -200,8 +195,26 @@ class TestTimingMutations:
     def test_response_at_window_end_accepted(self, honest):
         from rbc.spacetime import round_window
         bound = round_window(honest.params, 3)[2]
-        verdict = verify(with_round(honest, 3, response_end=bound))
+        moved = with_round(honest, 3, response_end=bound)
+        # the aggregation follows the last completion, so re-stamp it
+        verdict = verify(dataclasses.replace(moved,
+                                             aggregation=aggregate_event(moved)))
         assert verdict.accepted
+
+    def test_recorded_aggregation_rejected(self, honest):
+        # the file's aggregation must be the event the verdict is issued at
+        event = aggregate_event(honest)
+        for recorded in (None, SpacetimeEvent(Fraction(0), 1),
+                         SpacetimeEvent(event.time, 3 - event.site),
+                         SpacetimeEvent(event.time + EPS, event.site)):
+            verdict = verify(dataclasses.replace(honest, aggregation=recorded))
+            assert verdict.reason == TIMING_VIOLATION
+            assert verdict.issued_at == event.time
+            shown = ("null" if recorded is None
+                     else f"at {recorded.time} at site {recorded.site}")
+            assert verdict.detail == (
+                f"recorded aggregation {shown} is not the aggregation event "
+                f"at {event.time} at site {event.site}")
 
     def test_response_before_challenge_rejected(self, honest):
         verdict = verify(with_round(honest, 2,
