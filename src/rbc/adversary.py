@@ -13,16 +13,19 @@ view).  Only the round-R positions whose target bit differs from the truth
 are uncertain: each needs a key offset matching the hidden pair's member
 difference, uniform over the N-1 nonzero residues and independent across
 positions.  So the per-position optimum is q = 1/(N-1) in closed form.
-The oracle enumerates the generating function W of the flip weight one
-flipped number forces at the next level over the N(N-1) (key, offset)
-cases.  Flipped numbers draw independent keys and pairs, so the round-R
-weight has generating function P_R = W∘…∘W (R-1 copies), and the exact
-optimum E[q^weight] = P_R(q) is evaluated in exact rationals.  A single
-round takes microseconds at any m.  On a 2-vCPU VM with Python 3.11,
-medians of 3 runs: (10,4) 0.24 s, (7,6) 0.15 s, (5,7) 0.07 s, (4,8)
-0.04 s, (6,6) 0.03 s and (3,11) 0.27 s; single runs vary by about a third
-either way.  The implementable strategy guesses those offsets and its
-Monte Carlo rate must converge to the oracle value.
+One flipped number forces at the next level the weight of key XOR
+(key + d mod N), with the key uniform and the offset d uniform over the
+nonzero residues.  (key, key + d mod N) is then uniform over ordered
+pairs of distinct residues, and for each first member the XOR maps the
+second one-to-one onto the nonzero m-bit words, so the XOR is uniform over
+those N-1 words and the weight is binomial, P(w) = C(m, w)/(N-1), with
+generating function W(z) = ((1+z)^m - 1)/(N-1).  Flipped numbers draw
+independent keys and pairs, so the round-R weight has generating function
+P_R = W∘…∘W (R-1 copies), and the exact optimum E[q^weight] = P_R(q) is
+evaluated in exact rationals.  W is convex with W(0) = 0 and W(1) = 1, so
+W(z) <= z: the value never increases with R and stays <= 1/(N-1) <= 2/N.
+The implementable strategy guesses those offsets and its Monte Carlo rate
+must converge to the oracle value.
 
 Sum-binding, p0 + p1 <= 1 + eps (Lunghi et al.; Chakraborty, Chailloux and
 Leverrier, PRL 2015), is exactly 1 + optimal_flip_success at R = 1, by a
@@ -46,13 +49,13 @@ from .verifier import verify
 
 
 class OracleBudgetError(RuntimeError):
-    """Instance too large for exhaustive enumeration."""
+    """Instance whose exact oracle value could be too large to compute."""
 
-    def __init__(self, estimated_ops: int, max_ops: int):
-        super().__init__(f"exhaustive oracle would need ~{estimated_ops} "
-                         f"elementary steps, budget is {max_ops}")
-        self.estimated_ops = estimated_ops
-        self.max_ops = max_ops
+    def __init__(self, estimated_bits: int, max_bits: int):
+        super().__init__(f"exact oracle denominator could need "
+                         f"{estimated_bits} bits, limit is {max_bits}")
+        self.estimated_bits = estimated_bits
+        self.max_bits = max_bits
 
 
 # ---------------------------------------------------------------------------
@@ -127,60 +130,25 @@ class OffsetGuessAlice(HonestAlice):
 # Exact oracle
 # ---------------------------------------------------------------------------
 
-# Fitted on measured oracle times: one enumerated (key, offset) case costs
-# about as much as 3 composition steps, one of which is 2^16 bit operations
-# of exact reduction.
-_STEPS_PER_CASE = 3
-_BIT_OPS_PER_STEP = 1 << 16
-_ORACLE_MAX_OPS = 10 ** 8  # optimal_flip_success's budget, about 7 s
+# The oracle refuses instances whose value could need a denominator of more
+# than this many bits.  It computes (2,19), (3,12), (4,9), (7,7) and (31,4),
+# each within about 0.2 s.
+_ORACLE_MAX_BITS = 1 << 20
 
 
-def _oracle_cost_estimate(m: int, last_round: int) -> int:
-    """Elementary steps: the N(N-1)-case enumeration of W plus the composition.
+def _oracle_bits(m: int, last_round: int) -> int:
+    """A bound on the bit length of optimal_flip_success's denominator.
 
-    A single round needs neither.  Each application of W raises x to powers
-    up to m, so the bit length of x grows about m-fold per application, and
-    reducing the m + 1 terms' exact sum costs about m * bits^2 bit
-    operations.
+    x starts as 1/(N-1), at most m bits, and each application of W raises
+    its denominator to the m-th power and multiplies it by N - 1.  The
+    count stops at the first value past _ORACLE_MAX_BITS.
     """
-    if last_round == 1:
-        return 0
-    modulus = 1 << m
-    est = _STEPS_PER_CASE * modulus * (modulus - 1)
     bits = m
     for _ in range(last_round - 1):
+        if bits > _ORACLE_MAX_BITS:
+            break
         bits = m * bits + m
-        est += m * bits * bits // _BIT_OPS_PER_STEP
-    return est
-
-
-def _best_position_flip_probability(modulus: int) -> Fraction:
-    """Max over reveals of P(one flipped position decodes): 1/(N-1).
-
-    With d = key - guess, the decode lands on the flipped bit when
-    used + d equals the hidden other member.  For d != 0 that holds for
-    every used member (other = used + d is distinct from it), for d = 0
-    never, so the best count is N of the N(N-1) ordered distinct pairs.
-    """
-    return Fraction(1, modulus - 1)
-
-
-def _flip_weight_distribution(m: int) -> dict[int, Fraction]:
-    """Hamming weight of (key XOR forced key) for one flipped number.
-
-    The forced key is key + (used - other) with (used, other) ranging over
-    ordered distinct pairs and the key uniform.  used - other takes each
-    nonzero offset d exactly N times, so the N(N-1) equally likely cases
-    (key, d) give the same distribution, enumerated exhaustively.
-    """
-    modulus = 1 << m
-    counts: dict[int, int] = {}
-    for key in range(modulus):
-        for d in range(1, modulus):
-            weight = (key ^ ((key + d) % modulus)).bit_count()
-            counts[weight] = counts.get(weight, 0) + 1
-    total = modulus * (modulus - 1)
-    return {w: Fraction(c, total) for w, c in counts.items()}
+    return bits
 
 
 def optimal_flip_success(m: int, last_round: int) -> Fraction:
@@ -188,29 +156,27 @@ def optimal_flip_success(m: int, last_round: int) -> Fraction:
 
     Every revealed list that decodes to the flipped bit is forced except at
     the round-R positions whose target bit differs from the truth, so the
-    per-view optimum is q, the per-position optimum, raised to the chain's
-    Hamming weight H, and the value is E[q^H].  Level 2's weight has the
-    generating function W of _flip_weight_distribution.  Each of h flipped
-    numbers forces an independent weight at the next level, so
-    P_{k+1}(z) = P_k(W(z)) and E[q^H] = P_R(q) = W(W(...W(q)...)), with
-    R - 1 applications.  q is exact in closed form, W's enumeration is
-    exhaustive and every coefficient is an exact rational, so the value is
-    exact.
+    per-view optimum is q = 1/(N-1), the per-position optimum, raised to the
+    chain's Hamming weight H, and the value is E[q^H].  A flipped number
+    forces the weight of key XOR (key + d mod N) at the next level, uniform
+    over the N - 1 nonzero m-bit words, so P(w) = C(m, w)/(N-1) and its
+    generating function is W(z) = ((1+z)^m - 1)/(N-1).  Flipped numbers
+    force independent weights, so E[q^H] = W(W(...W(q)...)) with R - 1
+    applications, evaluated in exact rationals.
+
+    W is convex with W(0) = 0 and W(1) = 1, so W(z) <= z on [0, 1]: the
+    value never increases with R and stays <= 1/(N-1) <= 2/N.
+
+    Raises OracleBudgetError when _oracle_bits(m, R) exceeds 2^20.
     """
     if m < 2 or last_round < 1:
         raise ValueError("need m >= 2 and last_round >= 1")
-    estimate = _oracle_cost_estimate(m, last_round)
-    if estimate > _ORACLE_MAX_OPS:
-        raise OracleBudgetError(estimate, _ORACLE_MAX_OPS)
-
-    q = _best_position_flip_probability(1 << m)
-    if last_round == 1:
-        return q
-
-    weight_dist = _flip_weight_distribution(m)
-    x = q
+    bits = _oracle_bits(m, last_round)
+    if bits > _ORACLE_MAX_BITS:
+        raise OracleBudgetError(bits, _ORACLE_MAX_BITS)
+    q = x = Fraction(1, (1 << m) - 1)
     for _ in range(last_round - 1):
-        x = sum((p * x ** w for w, p in weight_dist.items()), Fraction(0))
+        x = ((1 + x) ** m - 1) * q
     return x
 
 
@@ -257,8 +223,6 @@ class AttackOutcome:
         }
 
 
-_ORACLE_ATTACH_OPS = 5 * 10 ** 6
-
 ATTACKS = ("offset-guess", "honest-relabel")  # run_attack's strategy names
 
 
@@ -292,7 +256,7 @@ def run_attack(params: ProtocolParams, rounds: int, strategy_name: str,
     oracle: Optional[Fraction] = None
     if relabel:
         oracle = Fraction(1)
-    elif _oracle_cost_estimate(params.m, rounds) <= _ORACLE_ATTACH_OPS:
+    elif _oracle_bits(params.m, rounds) <= _ORACLE_MAX_BITS:
         oracle = optimal_flip_success(params.m, rounds)
     return AttackOutcome(strategy=strategy_name, m=params.m, rounds=rounds,
                          trials=trials, successes=successes, oracle_rate=oracle)

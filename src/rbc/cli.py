@@ -19,7 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .adversary import ATTACKS, run_attack
@@ -44,10 +46,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# A numeric flag is bounded like a time in a transcript file: at most 256
+# characters, and a decimal exponent of at most 256 either way, so building
+# its Fraction costs time bounded by the text.
+_MAX_FLAG_CHARS = 256
+_NUMBER = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE]([+-]?[0-9]+))?"
+                     r"|[+-]?[0-9]+/0*[1-9][0-9]*")
+
+
+def _exact_flag(text: str) -> Fraction:
+    """An exact rational from a flag: an integer, a decimal with an optional
+    exponent, or p/q.  Checked before any Fraction is built."""
+    shape = len(text) <= _MAX_FLAG_CHARS and _NUMBER.fullmatch(text)
+    if not shape or abs(int(shape.group(1) or 0)) > _MAX_FLAG_CHARS:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, decimal or p/q of at most {_MAX_FLAG_CHARS} "
+            f"characters with an exponent of at most {_MAX_FLAG_CHARS}, "
+            f"got {text[:40]!r}")
+    return Fraction(text)
+
+
 def _add_geometry(p: argparse.ArgumentParser, dx="1", delta="0.005", dt="0.01"):
-    p.add_argument("--dx", default=dx, help="site separation, light-seconds")
-    p.add_argument("--delta", default=delta, help="lab placement tolerance")
-    p.add_argument("--dt", default=dt, help="per-round challenge window")
+    p.add_argument("--dx", type=_exact_flag, default=dx,
+                   help="site separation, light-seconds")
+    p.add_argument("--delta", type=_exact_flag, default=delta,
+                   help="lab placement tolerance")
+    p.add_argument("--dt", type=_exact_flag, default=dt,
+                   help="per-round challenge window")
 
 
 def _params(args) -> ProtocolParams:
@@ -157,12 +182,13 @@ def build_parser() -> _Parser:
     # commands take it
     for p in (run, att):
         _add_geometry(p)
-        p.add_argument("--intra-delay", default=None,
+        p.add_argument("--intra-delay", type=_exact_flag, default=None,
                        help="same-site delay, at most min(2*delta, delta + dt)")
 
     cap = sub.add_parser("capacity", help="traffic vs channel-rate accounting")
     cap.add_argument("--m", type=int, required=True)
-    cap.add_argument("--baud", required=True, help="channel rate, bits/second")
+    cap.add_argument("--baud", type=_exact_flag, required=True,
+                     help="channel rate, bits/second")
     cap.add_argument("--format", choices=("json", "table"), default="json")
     _add_geometry(cap, dx="0.1", delta="0.00001", dt="0.0001")
     cap.set_defaults(func=_cmd_capacity)

@@ -14,17 +14,18 @@ words at once.  The lane kernel (``Stream.u64s``) computes up to ``_LANES``
 outputs inside one Python int.  Lane i is 128 bits wide and its low 64
 bits hold the i-th state after the current one; the high 64 bits stay free.
 splitmix64 is exact on such a packed int because no step carries across a
-lane: a 64-bit by 64-bit product is below 2**128, and masking with ``_LO``
-after each xor-shift drops the bits a right shift brings down from the next
-lane.  The batch draws built on it (``belows``, ``distinct_pairs``) return
-exactly what the scalar calls would, and leave the state where they would.
+lane: a 64-bit by 64-bit product is below 2**128, and masking each lane to
+its low 64 bits after each xor-shift drops the bits a right shift brings
+down from the next lane.  The batch draws built on it (``belows``,
+``distinct_pairs``) return exactly what the scalar calls would, and leave
+the state where they would.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from functools import lru_cache
+from functools import cache, lru_cache
 
 GENERATOR_ID = "splitmix64-v1"
 
@@ -47,11 +48,14 @@ def _pack(words) -> int:
     return int.from_bytes(lanes.tobytes(), "little")
 
 
-# _LO masks every lane to its low 64 bits, _ONES holds 1 in every lane and
-# _STEPS holds (i+1)*gamma mod 2**64 in lane i: the state offsets of a block.
-_LO = _pack([_MASK64] * _LANES)
-_ONES = _pack([1] * _LANES)
-_STEPS = (_GAMMA * _pack(range(1, _LANES + 1))) & _LO
+@cache
+def _lane_constants() -> tuple[int, int, int]:
+    """(lo, ones, steps), built on the first draw rather than at import:
+    lo masks every lane to its low 64 bits, ones holds 1 in every lane and
+    steps holds (i+1)*gamma mod 2**64 in lane i, the state offsets of a
+    block."""
+    lo = _pack([_MASK64] * _LANES)
+    return lo, _pack([1] * _LANES), (_GAMMA * _pack(range(1, _LANES + 1))) & lo
 
 
 def mix64(z: int) -> int:
@@ -64,11 +68,10 @@ def mix64(z: int) -> int:
 
 def _mix_block(state: int, lanes: int) -> list[int]:
     """mix64 of state + (i+1)*gamma for i in range(lanes), lanes <= _LANES."""
-    if lanes == _LANES:
-        lo, ones, steps = _LO, _ONES, _STEPS
-    else:
+    lo, ones, steps = _lane_constants()
+    if lanes < _LANES:
         cut = (1 << (lanes * _LANE_BITS)) - 1
-        lo, ones, steps = _LO & cut, _ONES & cut, _STEPS & cut
+        lo, ones, steps = lo & cut, ones & cut, steps & cut
     z = (state * ones + steps) & lo
     z = (((z ^ (z >> 30)) & lo) * 0xBF58476D1CE4E5B9) & lo
     z = (((z ^ (z >> 27)) & lo) * 0x94D049BB133111EB) & lo

@@ -1,14 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
+from math import comb
 
 import pytest
 
-from rbc.adversary import (_ORACLE_ATTACH_OPS, _ORACLE_MAX_OPS,
-                           OffsetGuessAlice, OracleBudgetError,
-                           _best_position_flip_probability,
-                           _flip_weight_distribution, _oracle_cost_estimate,
+from rbc.adversary import (_ORACLE_MAX_BITS, OffsetGuessAlice,
+                           OracleBudgetError, _oracle_bits,
                            optimal_flip_success, run_attack)
 from rbc.codec import binary_form
 from rbc.netsim import replay_decisions, simulate
@@ -27,6 +27,7 @@ def three_sigma(p: Fraction, n: int) -> float:
 # optimum over every (true key, guessed reveal), and the flip weight over
 # every (key, used member, other member).
 
+@cache
 def position_flip_probability_by_enumeration(modulus: int) -> Fraction:
     best = 0
     for key in range(modulus):
@@ -40,6 +41,7 @@ def position_flip_probability_by_enumeration(modulus: int) -> Fraction:
     return Fraction(best, modulus * (modulus - 1))
 
 
+@cache
 def flip_weights_by_pair_enumeration(m: int) -> dict[int, Fraction]:
     modulus = 1 << m
     counts: dict[int, int] = {}
@@ -67,11 +69,11 @@ def _convolve(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fract
 
 
 def convolution_flip_success(m: int, last_round: int) -> Fraction:
-    q = _best_position_flip_probability(1 << m)
+    q = position_flip_probability_by_enumeration(1 << m)
     if last_round == 1:
         return q
 
-    weight_dist = _flip_weight_distribution(m)
+    weight_dist = flip_weights_by_pair_enumeration(m)
     level_dist = dict(weight_dist)
     for _ in range(3, last_round + 1):
         # Each flipped number at the previous level forces an independent
@@ -90,12 +92,21 @@ def convolution_flip_success(m: int, last_round: int) -> Fraction:
     return sum((p * q ** h for h, p in level_dist.items()), Fraction(0))
 
 
-def convolution_cost_estimate(m: int, last_round: int) -> int:
-    """The convolution method's cost estimate, which set the attach rule."""
+# The enumerating oracle's fitted cost estimate and its two limits, which
+# set what was computed and what run_attack attached before the size bound.
+ENUMERATION_MAX_OPS = 10 ** 8
+ENUMERATION_ATTACH_OPS = 5 * 10 ** 6
+
+
+def enumeration_cost_estimate(m: int, last_round: int) -> int:
+    if last_round == 1:
+        return 0
     modulus = 1 << m
-    est = modulus ** 4 + modulus ** 3
-    for level in range(3, last_round + 1):
-        est += (m ** (level - 2)) ** 2 * m * m
+    est = 3 * modulus * (modulus - 1)
+    bits = m
+    for _ in range(last_round - 1):
+        bits = m * bits + m
+        est += m * bits * bits // (1 << 16)
     return est
 
 
@@ -104,18 +115,20 @@ class TestOracle:
         # the needed offset is uniform over the N-1 nonzero residues
         assert optimal_flip_success(2, 1) == Fraction(1, 3)
         assert optimal_flip_success(3, 1) == Fraction(1, 7)
-        # a closed form, within the default budget at any m
+        # a closed form at any protocol m
         for m in (8, 16, 64):
             assert optimal_flip_success(m, 1) == Fraction(1, 2 ** m - 1)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_position_optimum_matches_enumeration(self, m):
-        assert _best_position_flip_probability(1 << m) == \
+        assert optimal_flip_success(m, 1) == \
             position_flip_probability_by_enumeration(1 << m)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_flip_weights_match_pair_enumeration(self, m):
-        assert _flip_weight_distribution(m) == flip_weights_by_pair_enumeration(m)
+        # the identity the closed form rests on: the weight is binomial
+        assert flip_weights_by_pair_enumeration(m) == \
+            {w: Fraction(comb(m, w), (1 << m) - 1) for w in range(1, m + 1)}
 
     def test_two_rounds_exact_values(self):
         assert optimal_flip_success(2, 2) == Fraction(7, 27)
@@ -143,19 +156,34 @@ class TestOracle:
 
     def test_benchmark_grid_fits_default_budget(self):
         for m, rounds in ((6, 1), (6, 2), (5, 5), (3, 7)):
-            assert _oracle_cost_estimate(m, rounds) <= _ORACLE_MAX_OPS
+            assert _oracle_bits(m, rounds) <= _ORACLE_MAX_BITS
 
     def test_every_instance_attached_before_still_attaches(self):
-        for m in range(2, 8):
+        # run_attack now attaches exactly what the size bound computes
+        for m in range(2, 65):
             for rounds in range(1, 21):
-                if convolution_cost_estimate(m, rounds) <= _ORACLE_ATTACH_OPS:
-                    assert _oracle_cost_estimate(m, rounds) <= _ORACLE_ATTACH_OPS
+                estimate = enumeration_cost_estimate(m, rounds)
+                computed = _oracle_bits(m, rounds) <= _ORACLE_MAX_BITS
+                if estimate <= ENUMERATION_ATTACH_OPS:
+                    assert computed, "attached before"
+                if estimate <= ENUMERATION_MAX_OPS:
+                    assert computed, "computed before"
+
+    def test_size_bound_bounds_the_denominator(self):
+        for m in range(2, 9):
+            rounds = 1
+            while _oracle_bits(m, rounds) <= 1 << 18:
+                value = optimal_flip_success(m, rounds)
+                assert value.denominator.bit_length() <= _oracle_bits(m, rounds)
+                rounds += 1
 
     def test_budget_refusal_carries_estimate(self):
-        with pytest.raises(OracleBudgetError) as err:
-            optimal_flip_success(16, 3)
-        assert err.value.estimated_ops > err.value.max_ops
-        assert str(err.value.estimated_ops) in str(err.value)
+        # just past the bound at m = 2 and m = 4, and m past 2^20 at R = 1
+        for m, rounds in ((2, 20), (4, 10), ((1 << 20) + 1, 1)):
+            with pytest.raises(OracleBudgetError) as err:
+                optimal_flip_success(m, rounds)
+            assert err.value.estimated_bits > err.value.max_bits == _ORACLE_MAX_BITS
+            assert str(err.value.estimated_bits) in str(err.value)
 
     def test_rejects_degenerate_instances(self):
         with pytest.raises(ValueError):
@@ -224,6 +252,15 @@ class TestMonteCarlo:
         p = ProtocolParams(4, "1", "0.005", "0.01")
         outcome = run_attack(p, 6, "offset-guess", 1, 108)
         assert outcome.oracle_rate == optimal_flip_success(4, 6)
+
+    @pytest.mark.parametrize("m, rounds, attached",
+                             [(16, 3, True), (31, 4, True), (32, 4, False)])
+    def test_oracle_attached_exactly_within_size_bound(self, m, rounds, attached):
+        # (31,4) needs at most 954,304 bits, (32,4) 1,082,400
+        p = ProtocolParams(m, "1", "0.005", "0.01")
+        outcome = run_attack(p, rounds, "offset-guess", 1, 109)
+        assert outcome.oracle_rate == (optimal_flip_success(m, rounds)
+                                       if attached else None)
 
     def test_honest_relabel_always_succeeds(self, params_m2):
         outcome = run_attack(params_m2, 2, "honest-relabel", 100, 103)

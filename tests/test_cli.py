@@ -239,6 +239,46 @@ class TestCapacity:
         assert report["max_rounds"] > 10
 
 
+class TestNumericFlags:
+    """--dx, --delta, --dt, --intra-delay and --baud are read by one bounded
+    reader: a spelling whose Fraction would be costly to build, or that no
+    Fraction takes, exits 1 before any is built."""
+
+    ATTACK = ["attack", "--m", "2", "--rounds", "1", "--strategy",
+              "offset-guess", "--trials", "1", "--seed", "1"]
+    CAPACITY = ["capacity", "--m", "2"]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (RUN_BASE + ["--out", "-", "--dx", "1e10000000"], "--dx"),
+        (RUN_BASE + ["--out", "-", "--delta", "1e-10000000"], "--delta"),
+        (RUN_BASE + ["--out", "-", "--dt", "1" * 257], "--dt"),
+        (RUN_BASE + ["--out", "-", "--intra-delay", "1/0"], "--intra-delay"),
+        (RUN_BASE + ["--out", "-", "--dx", "1e257"], "--dx"),
+        (RUN_BASE + ["--out", "-", "--dx", "0x10"], "--dx"),
+        (RUN_BASE + ["--out", "-", "--dx", " 1"], "--dx"),
+        (ATTACK + ["--dx", "1e10000000"], "--dx"),
+        (CAPACITY + ["--baud", "1e100000"], "--baud"),
+        (CAPACITY + ["--baud", "1e5000"], "--baud"),
+    ], ids=["run-dx-exponent", "run-delta-exponent", "run-dt-long",
+            "run-intra-delay-zero-q", "run-dx-past-limit", "run-dx-hex",
+            "run-dx-space", "attack-dx-exponent", "capacity-baud-exponent",
+            "capacity-baud-past-int-limit"])
+    def test_refuses_unbounded_spelling(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "4300" not in err
+
+    @pytest.mark.parametrize("baud", ["1e11", "100000000000", "1E+11",
+                                      "200000000000/2", ".1e12"])
+    def test_capacity_takes_documented_spellings(self, capsys, baud):
+        code, out, _ = run_cli(["capacity", "--m", "10", "--baud", baud,
+                                "--delta", "0.00001", "--dt", "1e-4"], capsys)
+        assert code == 0
+        assert json.loads(out)["baud"] == "100000000000"
+
+
 class TestUsage:
     def test_missing_subcommand_exits_one(self):
         with pytest.raises(SystemExit) as exc:
