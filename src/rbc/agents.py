@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .codec import PairChallenge, RandomTape, commit_round, round_payload_bits
 from .rng import Stream, derive_seed
-from .spacetime import ProtocolParams
+from .spacetime import ProtocolParams, as_exact
 from .analysis import tape_consumed
 
 
@@ -42,6 +42,11 @@ class UnveilMessage:
     revealed: tuple[int, ...]
     site: int
     completes_at: Fraction
+
+    def __post_init__(self):
+        # a time given as a float or an int is held as the exact Fraction
+        # it spells, as SpacetimeEvent holds its time
+        object.__setattr__(self, "completes_at", as_exact(self.completes_at))
 
 
 def make_tape(m: int, planned_rounds: int, alice_seed: int) -> RandomTape:

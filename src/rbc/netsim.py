@@ -35,10 +35,17 @@ from typing import Optional, Sequence
 
 from .agents import (AliceState, UnveilMessage, alice_response,
                      bob_challenge, honest_unveil_time, make_tape)
+from .analysis import tape_consumed
 from .codec import MAX_M, PairChallenge, first_non_residue
 from .rng import Stream, derive_seed
 from .spacetime import (ProtocolParams, SpacetimeEvent, round_site,
                         round_window)
+
+# simulate refuses a run that draws more tape keys than this: a run of R
+# rounds draws tape_consumed(m, R) keys and makes as many commitments, so
+# memory grows as m**R.  m=10 is allowed up to R=7 and m=2 up to R=22.
+MAX_TAPE_KEYS = 1 << 22
+
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -193,6 +200,7 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
     Alice's reply completes the instant the challenge arrives.  The unveil
     is at the honest mirror time; strategies choose only data.  Params with
     problems() are refused: the walk's order holds only for valid geometry.
+    So is a run that would draw more than MAX_TAPE_KEYS tape keys.
     strategy=None plays HonestAlice().
     """
     problems = params.problems()
@@ -203,6 +211,12 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
                          f"transcript holds")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    # tape_consumed(m, R) >= 2**R - 1 for m >= 2, so a long run is refused
+    # before m**R is built
+    if (rounds >= MAX_TAPE_KEYS.bit_length()
+            or tape_consumed(params.m, rounds) > MAX_TAPE_KEYS):
+        raise ValueError(f"rounds={rounds} at m={params.m} draws more than "
+                         f"{MAX_TAPE_KEYS} tape keys, the most a run draws")
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     for name, seed in (("alice_seed", alice_seed), ("bob_seed", bob_seed)):

@@ -250,7 +250,8 @@ class SpacetimeEvent:
 
     def __post_init__(self):
         object.__setattr__(self, "time", as_exact(self.time))
-        if self.time < 0:
+        # a Fraction's denominator is positive: its sign is its numerator's
+        if self.time.numerator < 0:
             raise ValueError("event time must be >= 0")
         if self.site not in (1, 2):
             raise ValueError("site must be 1 or 2")

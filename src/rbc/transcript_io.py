@@ -35,6 +35,21 @@ no whitespace.  The shape and a cap of 256 characters are checked before
 any number is built, so parse cost is bounded by file size.  Residue lists
 are checked whole by C-level passes; only when those fail are they walked
 entry by entry, to name the first bad entry.
+
+Every instant of a run is a closed-form function of the params and the
+round index, so the transcripts of one geometry repeat their time texts,
+and the reader keeps two bounded caches.  Each distinct time text is read
+once per process (an LRU cache of 1,024 texts); a refused text raises, is
+never cached, and is checked again each time.  Each distinct geometry, m
+and the four params texts, gets one ProtocolParams per process (an LRU
+cache of 64), so the verifier's derived values (problems(), the period,
+the round windows) are computed once per geometry, not once per file.
+Both gain only when texts repeat within one process: a cold `rbc verify`
+reads each text once either way, and a miss costs what an uncached read
+does.
+
+The seeds are metadata: verify never checks them against the rounds or the
+unveils, so a file's seeds need not reproduce it.
 """
 
 from __future__ import annotations
@@ -42,6 +57,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Optional
 
@@ -78,7 +94,10 @@ _PAD6, _PAD8 = " " * 6, " " * 8
 _SLOT = '"rounds": [],\n  "unveils": []'
 
 
+@lru_cache(maxsize=1024)
 def _parse_time(text: str) -> Fraction:
+    """The time a text spells, each distinct text read once per process.
+    A refused text raises, and an exception is never cached."""
     if len(text) > _MAX_TIME_CHARS or not _TIME_SHAPE.fullmatch(text):
         raise TranscriptFormatError(f"bad time string {text[:40]!r}: expected "
                                     f"an integer, decimal or p/q of at most "
@@ -90,6 +109,14 @@ def _parse_time(text: str) -> Fraction:
         raise TranscriptFormatError(f"time string {text!r} is not canonical; "
                                     f"write {exact_str(value)!r}")
     return value
+
+
+@lru_cache(maxsize=64)
+def _params(m: int, *time_texts: str) -> ProtocolParams:
+    """One params object per (m, four time texts), so the verifier's derived
+    geometry is computed once per geometry.  Keyed on the texts, which hash
+    much faster than the four Fractions."""
+    return ProtocolParams.unchecked(m, *map(_parse_time, time_texts))
 
 
 def _require(obj: dict, key: str, kind, what: str):
@@ -275,13 +302,14 @@ def parse_transcript(text: str) -> Transcript:
                                     f"[0, {MAX_M}]")
     if modulus != 1 << m:
         raise TranscriptFormatError(f"modulus {modulus} does not match m={m}")
-    params = ProtocolParams.unchecked(
-        m,
-        _parse_time(_require(p, "delta_x", str, "params")),
-        _parse_time(_require(p, "delta", str, "params")),
-        _parse_time(_require(p, "delta_t", str, "params")),
-        _parse_time(_require(p, "intra_delay", str, "params")),
-    )
+    # each text is read in field order before the lookup, so the first
+    # fault named is the first in the file
+    time_texts = []
+    for key in ("delta_x", "delta", "delta_t", "intra_delay"):
+        text = _require(p, key, str, "params")
+        _parse_time(text)
+        time_texts.append(text)
+    params = _params(m, *time_texts)
 
     rounds = []
     raw_rounds = _require(obj, "rounds", list, "transcript")

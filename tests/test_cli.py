@@ -68,6 +68,16 @@ class TestRun:
         assert run_cli(argv, capsys)[0] == code
         assert out.exists() == (code == 0)
 
+    @pytest.mark.parametrize("rounds", ["23", "60", str(10 ** 9)])
+    def test_run_past_the_tape_bound_exits_one(self, tmp_path, capsys, rounds):
+        out = tmp_path / "x.json"
+        argv = ["run", "--m", "2", "--rounds", rounds, "--bit", "0",
+                "--alice-seed", "1", "--bob-seed", "2", "--out", str(out)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "tape keys" in err
+        assert not out.exists()
+
     def test_time_too_long_for_the_file_exits_one(self, tmp_path, capsys):
         # --dx itself fits the 256-character cap on file times; round 2's
         # start, derived from it, does not
@@ -190,6 +200,15 @@ class TestAttack:
              "--trials", "3", "--seed", "1"], capsys)
         assert code == 1
         assert "m=65" in err
+
+    @pytest.mark.parametrize("rounds", ["23", "60", str(10 ** 9)])
+    def test_run_past_the_tape_bound_exits_one(self, capsys, rounds):
+        code, out, err = run_cli(
+            ["attack", "--m", "2", "--rounds", rounds, "--strategy",
+             "offset-guess", "--trials", "3", "--seed", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "tape keys" in err
 
     def test_unknown_strategy_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from rbc.adversary import OffsetGuessAlice
 from rbc.agents import honest_unveil_time
+from rbc.analysis import tape_consumed
 from rbc.codec import PairChallenge
-from rbc.netsim import (CausalView, HonestAlice, RoundRecord, TimedMessage,
-                        aggregate_event, causal_view, replay_decisions,
-                        run_protocol, simulate)
+from rbc.netsim import (MAX_TAPE_KEYS, CausalView, HonestAlice, RoundRecord,
+                        TimedMessage, aggregate_event, causal_view,
+                        replay_decisions, run_protocol, simulate)
 from rbc.spacetime import (GeometryError, ProtocolParams, SpacetimeEvent,
                            round_site, round_window, unveil_deadline)
 from rbc.transcript_io import serialize_transcript
@@ -256,6 +257,19 @@ class TestWalkOrder:
     def test_bad_run_inputs_refused(self, params_m2, rounds, bit, message):
         with pytest.raises(ValueError, match=message):
             simulate(params_m2, rounds, bit, 1, 2)
+
+    def test_tape_bound_allows_the_documented_runs(self):
+        assert tape_consumed(10, 7) <= MAX_TAPE_KEYS < tape_consumed(10, 8)
+        assert tape_consumed(2, 22) <= MAX_TAPE_KEYS < tape_consumed(2, 23)
+
+    @pytest.mark.parametrize("m, rounds", [(2, 23), (2, 60), (2, 10 ** 9),
+                                           (10, 8), (64, 10 ** 18)])
+    def test_run_past_the_tape_bound_refused(self, m, rounds):
+        # refused before any key is drawn, and without building m**rounds
+        p = ProtocolParams(m, "1", "0.005", "0.01")
+        with pytest.raises(ValueError, match=f"rounds={rounds} at m={m} draws "
+                                             f"more than {MAX_TAPE_KEYS} tape keys"):
+            simulate(p, rounds, 1, 1, 2)
 
 
 class TestBobIndependence:

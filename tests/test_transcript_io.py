@@ -14,13 +14,14 @@ from rbc.agents import UnveilMessage
 from rbc.cli import main, verdict_to_json_obj
 from rbc.netsim import RoundRecord, Transcript, run_protocol
 from rbc.rng import GENERATOR_ID
-from rbc.spacetime import ProtocolParams, SpacetimeEvent, exact_str
-from rbc.transcript_io import (TranscriptFormatError, parse_transcript,
-                               serialize_transcript)
+from rbc.spacetime import (ProtocolParams, SpacetimeEvent, exact_str,
+                           round_window, unveil_deadline)
+from rbc.transcript_io import (TranscriptFormatError, _parse_time,
+                               parse_transcript, serialize_transcript)
 from rbc.verifier import Verdict, verify
 
 from conftest import ShortAnswer, valid_params
-from mutations import (MALFORMED_PAIR_IDS, MALFORMED_PAIRS, with_pair,
+from mutations import (EPS, MALFORMED_PAIR_IDS, MALFORMED_PAIRS, with_pair,
                        with_revealed, with_round, with_unveil, with_value)
 
 
@@ -485,6 +486,77 @@ class TestReaderErrors:
 
     def test_base_parses(self):
         assert parse_transcript(put([])) is not None
+
+
+def fresh_params(t: Transcript) -> Transcript:
+    """t with a params object of its own, built as the reader built it."""
+    p = t.params
+    return dataclasses.replace(t, params=ProtocolParams.unchecked(
+        p.m, p.delta_x, p.delta, p.delta_t, p.intra_delay))
+
+
+class TestReaderCaches:
+    """Each distinct time text is read once and each distinct geometry built
+    once per process; a cached value never changes an outcome."""
+
+    @pytest.mark.parametrize("time", ["1/100", "0.010", "1e5", " 1", "9" * 257])
+    def test_refused_time_raises_the_same_message_each_parse(self, time):
+        text = put([(("params", "delta_t"), time)])
+        messages = []
+        for _ in range(3):
+            with pytest.raises(TranscriptFormatError) as info:
+                parse_transcript(text)
+            messages.append(str(info.value))
+        assert messages[0].startswith(("bad time string", "time string"))
+        assert messages == [messages[0]] * 3
+
+    def test_time_cache_is_bounded(self):
+        for n in range(1200):
+            assert _parse_time(str(10 ** 6 + n)) == 10 ** 6 + n
+        assert _parse_time.cache_info().currsize <= 1024
+
+    def test_one_params_object_per_geometry(self):
+        a, b = parse_transcript(put([])), parse_transcript(put([]))
+        assert a.params is b.params
+        for changes in ([(("params", "delta_t"), "0.02")],
+                        [(("params", "intra_delay"), "0.004")],
+                        [(("params", "m"), 2), (("params", "modulus"), 4)]):
+            other = parse_transcript(put(changes))
+            assert other.params is not a.params
+            assert other.params is parse_transcript(put(changes)).params
+
+    def test_bad_delta_x_named_before_missing_delta(self):
+        obj = json.loads(put([(("params", "delta_x"), "1e5")]))
+        del obj["params"]["delta"]
+        with pytest.raises(TranscriptFormatError, match="bad time string '1e5'"):
+            parse_transcript(json.dumps(obj))
+        obj["params"]["delta_x"] = "1"
+        with pytest.raises(TranscriptFormatError,
+                           match="params: missing field 'delta'"):
+            parse_transcript(json.dumps(obj))
+
+    def test_shared_params_verdicts_match_fresh_params(self):
+        # the mutation helpers' edits of residues, pairs, keys, windows,
+        # unveil times and sites, and dropped rounds
+        t = shared = parse_transcript(put([]))
+        deadline = unveil_deadline(t.params, 3)
+        mutants = [
+            t, with_value(t, 3, 4, 99), with_pair(t, 2, 1, (5, 5)),
+            with_revealed(t, 8, 1),
+            with_round(t, 2, challenge_start=round_window(t.params, 2)[0] - EPS),
+            with_round(t, 3, response_end=round_window(t.params, 3)[2] + EPS),
+            with_round(t, 1, site=2), with_unveil(t, completes_at=deadline),
+            with_unveil(t, completes_at=deadline - EPS),
+            with_unveil(t, completes_at=Fraction(-1)), with_unveil(t, site=1),
+            dataclasses.replace(t, rounds=t.rounds[:2]),
+            dataclasses.replace(t, rounds=t.rounds[1:])]
+        # every mutant first verified on the shared object, then each again
+        # on an object of its own, then on the shared one once more
+        verdicts = [verify(t) for t in mutants]
+        assert len({v.reason for v in verdicts}) > 3
+        assert [verify(fresh_params(t)) for t in mutants] == verdicts
+        assert [verify(t) for t in mutants] == verdicts
+        assert all(t.params is shared.params for t in mutants)
 
 
 HONEST_TEXT = serialize_transcript(

@@ -216,6 +216,22 @@ class TestTimingMutations:
                 f"recorded aggregation {shown} is not the aggregation event "
                 f"at {event.time} at site {event.site}")
 
+    @pytest.mark.parametrize("delta, detail", [
+        (None, None), (-3, "completes before the protocol start"),
+        (1, "not strictly before")])
+    def test_unveil_time_given_as_a_float(self, honest, delta, detail):
+        # a float is held as the exact time it spells: -1.0 is refused as
+        # before the start, and a float past the deadline is named in the
+        # detail as a Fraction is
+        at = honest.unveils[0].completes_at + (delta or 0)
+        verdict = verify(with_unveil(honest, completes_at=float(at)))
+        assert verdict == verify(with_unveil(honest, completes_at=at))
+        if detail is None:
+            assert verdict.accepted
+        else:
+            assert verdict.reason == TIMING_VIOLATION
+            assert detail in verdict.detail
+
     def test_response_before_challenge_rejected(self, honest):
         verdict = verify(with_round(honest, 2,
                                     response_end=honest.rounds[1].challenge_end - EPS))
