@@ -17,7 +17,14 @@ inside each pair is required in every round.
 
 The arithmetic runs unchecked on residues in [0, N), bits in {0, 1} and
 pairs of exactly two members: inputs are checked once where they enter,
-in the simulator and in the verifier's shape check.
+in the simulator and in the verifier's shape check.  One residue
+predicate, first_non_residue, serves the simulator (a strategy's
+values), the verifier (values and reveals against N) and the transcript
+reader (values, reveals and pair members, lower bound only).  The
+verifier's pair loop inlines it: it must also find equal members and name
+the first fault in walk order, and at m=10, R=6 the C-level passes over
+round 6's 100,000 pairs (shape, flatten, this predicate, equality) summed
+to about 38 ms against the loop's 24 ms.
 """
 
 from __future__ import annotations
@@ -52,17 +59,19 @@ class RandomTape:
         return self.values[start:start + count]
 
 
-def first_non_residue(values: Sequence[int], modulus: int) -> Optional[int]:
-    """Index of the first entry that is not an int in [0, modulus), or None.
+def first_non_residue(values: Sequence[int],
+                      modulus: Optional[int] = None) -> Optional[int]:
+    """Index of the first entry that is not an int in [0, modulus), or None;
+    with no modulus, only the lower bound 0 is enforced.
 
     A residue's type must be exactly int, so bool and other int subclasses
     are refused.  The all-valid case is settled by C-level passes.
     """
-    if not values or ({*map(type, values)} == {int}
-                      and min(values) >= 0 and max(values) < modulus):
+    if not values or ({*map(type, values)} == {int} and min(values) >= 0
+                      and (modulus is None or max(values) < modulus)):
         return None
     for j, v in enumerate(values):
-        if type(v) is not int or not 0 <= v < modulus:
+        if type(v) is not int or v < 0 or modulus is not None and v >= modulus:
             return j
     return None
 

@@ -38,7 +38,7 @@ from .agents import (AliceState, UnveilMessage, alice_response,
 from .analysis import tape_consumed
 from .codec import MAX_M, PairChallenge, first_non_residue
 from .rng import Stream, derive_seed
-from .spacetime import (ProtocolParams, SpacetimeEvent, round_site,
+from .spacetime import (ProtocolParams, SpacetimeEvent, as_exact, round_site,
                         round_window)
 
 # simulate refuses a run that draws more tape keys than this: a run of R
@@ -61,6 +61,12 @@ class RoundRecord:
     pairs: tuple
     response_end: Fraction
     values: tuple[int, ...]
+
+    def __post_init__(self):
+        # a time given as a float or an int is held as the exact Fraction
+        # it spells, as UnveilMessage holds its time
+        for name in ("challenge_start", "challenge_end", "response_end"):
+            object.__setattr__(self, name, as_exact(getattr(self, name)))
 
 
 @dataclass(frozen=True)

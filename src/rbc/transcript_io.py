@@ -7,18 +7,19 @@ Serializing, parsing, and re-serializing any transcript reproduces the
 file byte for byte.
 
 The writer emits exactly json.dumps(obj, indent=2) + "\n" of the file's
-JSON object, without the pure-Python encoder that indent selects: the
-rounds and unveils arrays, nearly all of the bytes, are built with
-str.join and f-strings at the fixed indent of each nesting level, and
-json.dumps writes the rest with those two arrays empty, which are then
-replaced in place.  Integers are written with str(), which is what
-json.dumps writes for an int; anything else in an integer field (a bool,
-None, a float) raises ValueError naming the field, found by one C-level
-type pass over each list.  Times are exact_str text, which needs no
-escaping; the tests keep the plain json.dumps writer as the reference.
-Every time is written through one helper that raises ValueError, naming
-the field, for a time longer than the parser accepts, so the writer never
-emits a file whose times the parser refuses.
+JSON object, without the pure-Python encoder that indent selects: one
+encoder builds every line by hand, with str.join and f-strings at the
+fixed indent of each nesting level.  Integers are written with str(),
+which is what json.dumps writes for an int; anything else in an integer
+field (a residue, k, site, params.m, a seed) such as a bool, None or a
+float raises ValueError naming the field, found by one C-level type pass
+over each list.  A seed may also be None, written null.  Times are
+exact_str text, which needs no escaping.  The abort must be None or a
+string, and json.dumps escapes it, the writer's only use of json; the
+tests keep the plain json.dumps writer as the reference.  Every time is
+written through one helper that raises ValueError, naming the field, for
+a time longer than the parser accepts.  So the writer never emits a file
+that the parser refuses for a type or a time.
 
 The header names the seed-expansion generator, making files
 self-describing, and records the run seeds when known; a file naming any
@@ -33,8 +34,10 @@ no "-0", a minimal-digit decimal with no trailing zero, or a reduced "p/q"
 whose denominator has a prime factor other than 2 and 5.  No exponents and
 no whitespace.  The shape and a cap of 256 characters are checked before
 any number is built, so parse cost is bounded by file size.  Residue lists
-are checked whole by C-level passes; only when those fail are they walked
-entry by entry, to name the first bad entry.
+are checked by codec.first_non_residue with no upper bound, which settles
+a valid list by C-level passes and walks it only to name the first bad
+entry; the reader refuses a non-integer or a negative residue, and the
+verifier one of N or more.
 
 Every instant of a run is a closed-form function of the params and the
 round index, so the transcripts of one geometry repeat their time texts,
@@ -62,7 +65,7 @@ from itertools import chain
 from typing import Iterable, Optional
 
 from .agents import UnveilMessage
-from .codec import MAX_M
+from .codec import MAX_M, first_non_residue
 from .netsim import RoundRecord, Transcript
 from .rng import GENERATOR_ID
 from .spacetime import ProtocolParams, SpacetimeEvent, exact_str
@@ -89,9 +92,6 @@ _INT, _LIST, _TUPLE = frozenset({int}), frozenset({list}), frozenset({tuple})
 _TWO = frozenset({2})
 # indents of the nesting levels the writer builds by hand
 _PAD6, _PAD8 = " " * 6, " " * 8
-# the empty rounds and unveils that json.dumps writes; the writer puts the
-# hand-built arrays in their place
-_SLOT = '"rounds": [],\n  "unveils": []'
 
 
 @lru_cache(maxsize=1024)
@@ -141,19 +141,11 @@ def _optional_seed(seeds: dict, key: str) -> Optional[int]:
     return value
 
 
-def _all_residues(values: list) -> bool:
-    """Whether every entry is a non-negative int, by C-level passes; the
-    callers walk the list entry by entry only when this fails, to name the
-    first bad entry."""
-    return {*map(type, values)} <= _INT and (not values or min(values) >= 0)
-
-
 def _int_list(values: list, what: str) -> tuple[int, ...]:
-    if not _all_residues(values):
-        for v in values:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise TranscriptFormatError(f"{what}: residues must be "
-                                            f"non-negative integers, got {v!r}")
+    j = first_non_residue(values)
+    if j is not None:
+        raise TranscriptFormatError(f"{what}: residues must be non-negative "
+                                    f"integers, got {values[j]!r}")
     return tuple(values)
 
 
@@ -161,7 +153,7 @@ def _pairs(raw_pairs: list, what: str) -> tuple[tuple[int, int], ...]:
     """The pairs as (n0, n1) tuples; C-level passes check the whole list,
     and only when they fail is it walked to name the first bad entry."""
     if not ({*map(type, raw_pairs)} <= _LIST and {*map(len, raw_pairs)} <= _TWO
-            and _all_residues([*chain.from_iterable(raw_pairs)])):
+            and first_non_residue([*chain.from_iterable(raw_pairs)]) is None):
         for j, entry in enumerate(raw_pairs):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise TranscriptFormatError(f"{what}: pair {j} must be a "
@@ -245,36 +237,33 @@ def _unveil_text(i: int, u: UnveilMessage) -> str:
 
 def serialize_transcript(t: Transcript) -> str:
     """The transcript's file text, byte for byte json.dumps(obj, indent=2)
-    plus a newline; ValueError names a time too long for the file."""
+    plus a newline; ValueError names a field the reader would refuse."""
     p = t.params
-    params = {
-        "m": p.m,
-        "modulus": p.modulus,
-        "delta_x": _time_text(p.delta_x, "params.delta_x"),
-        "delta": _time_text(p.delta, "params.delta"),
-        "delta_t": _time_text(p.delta_t, "params.delta_t"),
-        "intra_delay": _time_text(p.intra_delay, "params.intra_delay"),
-    }
+    alice = "null" if t.alice_seed is None else _int_text(t.alice_seed, "seeds.alice")
+    bob = "null" if t.bob_seed is None else _int_text(t.bob_seed, "seeds.bob")
+    m = _int_text(p.m, "params.m")
+    modulus = _int_text(p.modulus, "params.modulus")
+    delta_x = _time_text(p.delta_x, "params.delta_x")
+    delta = _time_text(p.delta, "params.delta")
+    delta_t = _time_text(p.delta_t, "params.delta_t")
+    intra_delay = _time_text(p.intra_delay, "params.intra_delay")
     rounds = _array([_round_text(i, rec) for i, rec in enumerate(t.rounds)], "  ")
     unveils = _array([_unveil_text(i, u) for i, u in enumerate(t.unveils)], "  ")
-    aggregation = None
+    aggregation = "null"
     if t.aggregation is not None:
-        aggregation = {"time": _time_text(t.aggregation.time, "aggregation.time"),
-                       "site": t.aggregation.site}
-    rest = json.dumps({
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "generator": GENERATOR_ID,
-        "seeds": {"alice": t.alice_seed, "bob": t.bob_seed},
-        "params": params,
-        "rounds": [],
-        "unveils": [],
-        "aggregation": aggregation,
-        "abort": t.abort,
-    }, indent=2)
-    # a JSON string holds no raw newline, so the slot has no other match
-    head, _, tail = rest.partition(_SLOT)
-    return f'{head}"rounds": {rounds},\n  "unveils": {unveils}{tail}\n'
+        time = _time_text(t.aggregation.time, "aggregation.time")
+        site = _int_text(t.aggregation.site, "aggregation.site")
+        aggregation = f'{{\n    "time": "{time}",\n    "site": {site}\n  }}'
+    if t.abort is not None and not isinstance(t.abort, str):
+        raise ValueError(f"abort: expected a string or None, got {t.abort!r}")
+    return (f'{{\n  "format": "{FORMAT_NAME}",\n  "version": "{FORMAT_VERSION}",\n'
+            f'  "generator": "{GENERATOR_ID}",\n'
+            f'  "seeds": {{\n    "alice": {alice},\n    "bob": {bob}\n  }},\n'
+            f'  "params": {{\n    "m": {m},\n    "modulus": {modulus},\n'
+            f'    "delta_x": "{delta_x}",\n    "delta": "{delta}",\n'
+            f'    "delta_t": "{delta_t}",\n    "intra_delay": "{intra_delay}"\n  }},\n'
+            f'  "rounds": {rounds},\n  "unveils": {unveils},\n'
+            f'  "aggregation": {aggregation},\n  "abort": {json.dumps(t.abort)}\n}}\n')
 
 
 def parse_transcript(text: str) -> Transcript:

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rbc.codec import (RandomTape, binary_form, commit_one, commit_round,
-                       decode_one, from_binary, round_payload_bits,
-                       segment_bounds)
+                       decode_one, first_non_residue, from_binary,
+                       round_payload_bits, segment_bounds)
 
 
 def all_pairs(modulus):
@@ -155,3 +155,25 @@ class TestCommitRound:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             commit_round([1], [(3, 9), (2, 5)], [7, 4], 16)
+
+
+class TestFirstNonResidue:
+    @pytest.mark.parametrize("values, modulus, index", [
+        ([], 4, None),
+        ((0, 3, 1), 4, None),
+        ([0, 4], 4, 1),
+        ([3, 2 ** 64], 4, 1),
+        ([True], 4, 0),
+        # with no modulus only the lower bound holds
+        ([], None, None),
+        ([0, 1, 2 ** 64], None, None),
+        ([1, True], None, 1),
+        ([1, -1], None, 1),
+        ([1.5, 1], None, 0),
+        ([0, 1, None], None, 2),
+        ([2, 0, -1, 1.5, True], None, 2),
+    ])
+    def test_index_of_first_bad_entry(self, values, modulus, index):
+        # the reader calls it with no modulus at all
+        bound = () if modulus is None else (modulus,)
+        assert first_non_residue(values, *bound) == index

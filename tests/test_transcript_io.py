@@ -202,6 +202,12 @@ class TestByteIdentity:
             serialize_transcript(t)
 
 
+def with_m(t: Transcript, m) -> Transcript:
+    p = t.params
+    return dataclasses.replace(t, params=ProtocolParams.unchecked(
+        m, p.delta_x, p.delta, p.delta_t, p.intra_delay))
+
+
 NON_JSON_INTEGERS = [
     (lambda t: with_value(t, 2, 0, True), r"rounds\[1\]\.response\.values\[0\]: "
      r"expected an integer, got True"),
@@ -215,18 +221,33 @@ NON_JSON_INTEGERS = [
     (lambda t: with_revealed(t, 1, None), r"unveils\[0\]\.revealed\[1\]: "),
     (lambda t: with_unveil(t, round=None), r"unveils\[0\]\.round: "),
     (lambda t: with_unveil(t, site=True), r"unveils\[0\]\.site: "),
+    # the header's integers and its abort
+    (lambda t: dataclasses.replace(t, alice_seed=True),
+     r"seeds\.alice: expected an integer, got True"),
+    (lambda t: dataclasses.replace(t, bob_seed=1.5),
+     r"seeds\.bob: expected an integer, got 1\.5"),
+    (lambda t: with_m(t, True), r"params\.m: expected an integer, got True"),
+    (lambda t: dataclasses.replace(
+        t, aggregation=SpacetimeEvent(t.aggregation.time, True)),
+     r"aggregation\.site: expected an integer, got True"),
+    (lambda t: dataclasses.replace(t, abort=5),
+     r"abort: expected a string or None, got 5"),
 ]
 
 
 class TestWriterRefusesNonJson:
     """str() of a bool, None or float in an integer field is not JSON, so
-    the writer raises ValueError naming the field instead of writing it."""
+    the writer raises ValueError naming the field instead of writing it;
+    it refuses an abort that is not a string the same way."""
 
     @pytest.mark.parametrize("mutate, message", NON_JSON_INTEGERS)
     def test_field_named(self, params_m2, mutate, message):
         t = mutate(run_protocol(params_m2, 2, 0, 1, 2))
         with pytest.raises(ValueError, match="^" + message):
             serialize_transcript(t)
+        # the plain json.dumps writer emits a file the reader refuses
+        with pytest.raises(TranscriptFormatError):
+            parse_transcript(reference_serialize(t))
 
     @pytest.mark.parametrize("pair", MALFORMED_PAIRS, ids=MALFORMED_PAIR_IDS)
     def test_malformed_pair_named(self, params_m2, pair):

@@ -232,6 +232,17 @@ class TestTimingMutations:
             assert verdict.reason == TIMING_VIOLATION
             assert detail in verdict.detail
 
+    @pytest.mark.parametrize("field", ["challenge_start", "challenge_end",
+                                       "response_end"])
+    @pytest.mark.parametrize("shift", [0, -1, 1])
+    def test_round_time_given_as_a_float(self, honest, field, shift):
+        # a float is held as the exact time it spells, so a moved round
+        # time is named in the detail as a Fraction is
+        at = getattr(honest.rounds[1], field) + shift
+        verdict = verify(with_round(honest, 2, **{field: float(at)}))
+        assert verdict == verify(with_round(honest, 2, **{field: at}))
+        assert verdict.accepted == (shift == 0)
+
     def test_response_before_challenge_rejected(self, honest):
         verdict = verify(with_round(honest, 2,
                                     response_end=honest.rounds[1].challenge_end - EPS))
