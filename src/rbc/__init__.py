@@ -16,7 +16,7 @@ from .agents import (AliceState, UnveilMessage, alice_response, bob_challenge,
 from .analysis import (CapacityReport, capacity_report, round_traffic_bits,
                        tape_consumed)
 from .codec import (PairChallenge, RandomTape, binary_form, commit_one,
-                    commit_round, decode_one, from_binary, round_payload_bits,
+                    commit_round, decode_one, round_payload_bits,
                     segment_bounds)
 from .netsim import (CausalView, HonestAlice, RoundRecord, SimResult,
                      TimedMessage, Transcript, aggregate_event, causal_view,

@@ -13,13 +13,17 @@ fixed indent of each nesting level.  Integers are written with str(),
 which is what json.dumps writes for an int; anything else in an integer
 field (a residue, k, site, params.m, a seed) such as a bool, None or a
 float raises ValueError naming the field, found by one C-level type pass
-over each list.  A seed may also be None, written null.  Times are
+over each list.  A seed may also be None, written null.  The header's
+integers are held to the reader's own bounds: a seed in [0, 2**64) and m
+in [0, MAX_M], or ValueError names seeds.alice, seeds.bob or params.m.
+Residues are not: a negative residue is written, and the reader refuses
+it.  Times are
 exact_str text, which needs no escaping.  The abort must be None or a
 string, and json.dumps escapes it, the writer's only use of json; the
 tests keep the plain json.dumps writer as the reference.  Every time is
 written through one helper that raises ValueError, naming the field, for
 a time longer than the parser accepts.  So the writer never emits a file
-that the parser refuses for a type or a time.
+that the parser refuses for a type, a time or a header range.
 
 The header names the seed-expansion generator, making files
 self-describing, and records the run seeds when known; a file naming any
@@ -88,6 +92,8 @@ _TIME_SHAPE = re.compile(r"0|-?[1-9][0-9]*"
                          r"|-?(0|[1-9][0-9]*)\.[0-9]*[1-9]"
                          r"|-?[1-9][0-9]*/[1-9][0-9]*")
 
+# a seed is a 64-bit word, in the file as in the simulator
+_SEED_LIMIT = 1 << 64
 _INT, _LIST, _TUPLE = frozenset({int}), frozenset({list}), frozenset({tuple})
 _TWO = frozenset({2})
 # indents of the nesting levels the writer builds by hand
@@ -135,7 +141,7 @@ def _require(obj: dict, key: str, kind, what: str):
 
 def _optional_seed(seeds: dict, key: str) -> Optional[int]:
     value = seeds.get(key)
-    if value is not None and (type(value) is not int or not 0 <= value < 1 << 64):
+    if value is not None and (type(value) is not int or not 0 <= value < _SEED_LIMIT):
         raise TranscriptFormatError(f"seeds.{key}: expected an integer in "
                                     f"[0, 2**64) or null, got {value!r}")
     return value
@@ -180,6 +186,17 @@ def _int_text(value, what: str) -> str:
     if type(value) is not int:
         raise ValueError(f"{what}: expected an integer, got {value!r}")
     return str(value)
+
+
+def _seed_text(value, what: str) -> str:
+    """A seed as the reader takes it: null, or an integer in [0, 2**64)."""
+    if value is None:
+        return "null"
+    text = _int_text(value, what)
+    if not 0 <= value < _SEED_LIMIT:
+        raise ValueError(f"{what}: expected an integer in [0, 2**64) or null, "
+                         f"got {value!r}")
+    return text
 
 
 def _int_texts(values, what: str):
@@ -239,9 +256,12 @@ def serialize_transcript(t: Transcript) -> str:
     """The transcript's file text, byte for byte json.dumps(obj, indent=2)
     plus a newline; ValueError names a field the reader would refuse."""
     p = t.params
-    alice = "null" if t.alice_seed is None else _int_text(t.alice_seed, "seeds.alice")
-    bob = "null" if t.bob_seed is None else _int_text(t.bob_seed, "seeds.bob")
+    alice = _seed_text(t.alice_seed, "seeds.alice")
+    bob = _seed_text(t.bob_seed, "seeds.bob")
     m = _int_text(p.m, "params.m")
+    if not 0 <= p.m <= MAX_M:
+        raise ValueError(f"params.m: m={p.m} outside the supported range "
+                         f"[0, {MAX_M}]")
     modulus = _int_text(p.modulus, "params.modulus")
     delta_x = _time_text(p.delta_x, "params.delta_x")
     delta = _time_text(p.delta, "params.delta")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-import rbc
+import rbc.cli
 from rbc.cli import main
 from rbc.netsim import simulate
 from rbc.transcript_io import parse_transcript
@@ -337,3 +338,118 @@ class TestClosedStdout:
             err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+
+class _Outcome:
+    """What the CLI reads of an attack outcome."""
+
+    def to_json_obj(self):
+        return {}
+
+
+class _ClosedStdout:
+    """Standard output whose reader has gone, as in rbc verify t.json | head -1."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def _unwritable(tmp_path):
+    return RUN_BASE + ["--out", str(tmp_path / "nope" / "t.json")]
+
+
+def _rejected(tmp_path):
+    path = tmp_path / "t.json"
+    obj = json.loads(path.read_text())
+    obj["unveils"][0]["revealed"][0] = (obj["unveils"][0]["revealed"][0] + 2) % 4
+    path.write_text(json.dumps(obj))
+    return ["verify", str(path)]
+
+
+def _truncated(tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(path.read_text()[:40])
+    return ["verify", str(path)]
+
+
+# (argv builder, exit code) for each way out of run and verify; each builder
+# gets a directory that holds an honest m=2, R=3 transcript at t.json
+GC_EXITS = {
+    "run_ok": (lambda d: RUN_BASE + ["--out", str(d / "again.json")], 0),
+    "run_unwritable": (_unwritable, 1),
+    "run_bad_geometry": (lambda d: RUN_BASE + ["--out", str(d / "x.json"),
+                                               "--dx", "0.01", "--dt", "0.005"], 1),
+    "verify_accept": (lambda d: ["verify", str(d / "t.json")], 0),
+    "verify_reject": (_rejected, 3),
+    "verify_truncated": (_truncated, 1),
+    "verify_missing": (lambda d: ["verify", str(d / "nope.json")], 1),
+}
+
+
+class TestCyclicGcPause:
+    """run and verify pause the cyclic GC while their bodies run, and leave
+    it as they found it on every way out; attack does not pause it."""
+
+    @pytest.fixture
+    def transcript_dir(self, tmp_path, capsys):
+        assert main(RUN_BASE + ["--out", str(tmp_path / "t.json")]) == 0
+        capsys.readouterr()
+        return tmp_path
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def gc_before(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("case", GC_EXITS)
+    def test_state_restored(self, transcript_dir, capsys, gc_before, case):
+        build, code = GC_EXITS[case]
+        argv = build(transcript_dir)
+        assert main(argv) == code
+        assert gc.isenabled() is gc_before
+
+    @pytest.mark.parametrize("argv", [["verify", "{path}"], RUN_BASE + ["--out", "-"]],
+                             ids=["verify", "run"])
+    def test_state_restored_on_closed_stdout(self, transcript_dir, monkeypatch,
+                                             gc_before, argv):
+        path = transcript_dir / "t.json"
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        with pytest.raises(BrokenPipeError):
+            main([arg.format(path=path) for arg in argv])
+        assert gc.isenabled() is gc_before
+
+    @pytest.mark.parametrize("gc_before", [True], ids=["enabled"], indirect=True)
+    def test_paused_inside_run_and_verify(self, transcript_dir, capsys,
+                                          monkeypatch, gc_before):
+        seen = []
+
+        def spy(real):
+            def call(*args, **kwargs):
+                seen.append((real.__name__, gc.isenabled()))
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(rbc.cli, "simulate", spy(rbc.cli.simulate))
+        monkeypatch.setattr(rbc.cli, "verify", spy(rbc.cli.verify))
+        path = transcript_dir / "t.json"
+        assert main(RUN_BASE + ["--out", str(path)]) == 0
+        assert main(["verify", str(path)]) == 0
+        assert seen == [("simulate", False), ("verify", False)]
+
+    def test_attack_leaves_gc_as_it_is(self, capsys, monkeypatch, gc_before):
+        seen = []
+
+        def fake_attack(*args):
+            seen.append(gc.isenabled())
+            return _Outcome()
+
+        monkeypatch.setattr(rbc.cli, "run_attack", fake_attack)
+        code, _, _ = run_cli(["attack", "--m", "2", "--rounds", "1", "--strategy",
+                              "offset-guess", "--trials", "1", "--seed", "1"], capsys)
+        assert code == 0
+        assert seen == [gc_before]

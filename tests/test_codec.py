@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rbc.codec import (RandomTape, binary_form, commit_one, commit_round,
-                       decode_one, first_non_residue, from_binary,
-                       round_payload_bits, segment_bounds)
+from rbc.codec import (RandomTape, binary_form, binary_forms, commit_one,
+                       commit_round, decode_one, first_non_residue,
+                       from_binary_forms, round_payload_bits, segment_bounds)
 
 
 def all_pairs(modulus):
@@ -86,12 +86,28 @@ class TestBinaryForm:
         x = data.draw(st.integers(0, (1 << m) - 1))
         bits = binary_form(x, m)
         assert len(bits) == m
-        assert from_binary(bits) == x
+        assert from_binary_forms(bits, m) == [x]
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_bijection_exhaustive(self, m):
         images = {tuple(binary_form(x, m)) for x in range(1 << m)}
         assert len(images) == 1 << m
+
+    @pytest.mark.parametrize("m", [2, 3, 10, 63, 64])
+    def test_forms_round_trip(self, m):
+        top = (1 << m) - 1
+        for values in ([], [0], [top], [0, top, 1, top - 1, 0], [top >> 1] * 7):
+            assert from_binary_forms(binary_forms(values, m), m) == values
+
+    @given(st.integers(1, 64), st.data())
+    def test_forms_round_trip_drawn(self, m, data):
+        values = data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=20))
+        assert from_binary_forms(binary_forms(values, m), m) == values
+
+    def test_forms_drop_a_partial_key(self):
+        # as the per-key grouping did: only whole m-bit groups are keys
+        assert from_binary_forms([1, 0, 1, 1, 1], 3) == [5]
+        assert from_binary_forms([1, 1], 3) == []
 
 
 class TestSegmentBounds:

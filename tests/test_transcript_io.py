@@ -235,6 +235,22 @@ NON_JSON_INTEGERS = [
 ]
 
 
+# header integers of the right type outside the reader's bounds
+HEADER_OUT_OF_RANGE = [
+    (lambda t: dataclasses.replace(t, alice_seed=-1),
+     r"seeds\.alice: expected an integer in \[0, 2\*\*64\) or null, got -1"),
+    (lambda t: dataclasses.replace(t, alice_seed=2 ** 64),
+     r"seeds\.alice: expected an integer in \[0, 2\*\*64\) or null, "
+     r"got 18446744073709551616"),
+    (lambda t: dataclasses.replace(t, bob_seed=2 ** 64),
+     r"seeds\.bob: expected an integer in \[0, 2\*\*64\) or null, "
+     r"got 18446744073709551616"),
+    (lambda t: with_m(t, 65),
+     r"params\.m: m=65 outside the supported range \[0, 64\]"),
+]
+HEADER_OUT_OF_RANGE_IDS = ["alice_-1", "alice_2**64", "bob_2**64", "m_65"]
+
+
 class TestWriterRefusesNonJson:
     """str() of a bool, None or float in an integer field is not JSON, so
     the writer raises ValueError naming the field instead of writing it;
@@ -246,6 +262,16 @@ class TestWriterRefusesNonJson:
         with pytest.raises(ValueError, match="^" + message):
             serialize_transcript(t)
         # the plain json.dumps writer emits a file the reader refuses
+        with pytest.raises(TranscriptFormatError):
+            parse_transcript(reference_serialize(t))
+
+    @pytest.mark.parametrize("mutate, message", HEADER_OUT_OF_RANGE,
+                             ids=HEADER_OUT_OF_RANGE_IDS)
+    def test_header_out_of_range_named(self, params_m2, mutate, message):
+        # the writer holds seeds and m to the reader's bounds
+        t = mutate(run_protocol(params_m2, 2, 0, 1, 2))
+        with pytest.raises(ValueError, match="^" + message + "$"):
+            serialize_transcript(t)
         with pytest.raises(TranscriptFormatError):
             parse_transcript(reference_serialize(t))
 

@@ -5,7 +5,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rbc.codec import decode_one
 from rbc.netsim import RoundRecord, Transcript, aggregate_event, run_protocol
 from rbc.cli import verdict_to_json_obj
 from rbc.spacetime import (ProtocolParams, SpacetimeEvent, exact_str,
@@ -22,6 +25,54 @@ from mutations import (EPS, MALFORMED_PAIR_IDS, MALFORMED_PAIRS, with_pair,
 @pytest.fixture
 def honest(params_m2):
     return run_protocol(params_m2, 3, 1, 7, 9)
+
+
+# Independent reference for backward_decode's C-level kernel: one
+# decode_one call a commitment and one sum of shifted bits a key.
+
+def reference_backward_decode(rounds, revealed, m):
+    modulus = 1 << m
+    keys = list(revealed)
+    for k in range(len(rounds), 1, -1):
+        rec = rounds[k - 1]
+        bits = []
+        for j, (value, pair, key) in enumerate(zip(rec.values, rec.pairs, keys)):
+            bit = decode_one(value, pair, key, modulus)
+            if bit is None:
+                return None, (k, j)
+            bits.append(bit)
+        keys = [sum(b << i for i, b in enumerate(bits[g * m:(g + 1) * m]))
+                for g in range(len(bits) // m)]
+    first = rounds[0]
+    bit = decode_one(first.values[0], first.pairs[0], keys[0], modulus)
+    if bit is None:
+        return None, (1, 0)
+    return bit, None
+
+
+def single_edits(t):
+    """Every transcript that differs from t in one response value or one
+    revealed key, moved by +1 or -1 mod N."""
+    modulus = t.params.modulus
+    for rec in t.rounds:
+        for j, v in enumerate(rec.values):
+            for d in (1, -1):
+                yield with_value(t, rec.round, j, (v + d) % modulus)
+    for j, v in enumerate(t.unveils[0].revealed):
+        for d in (1, -1):
+            yield with_revealed(t, j, (v + d) % modulus)
+
+
+def with_list_pairs(t):
+    return dataclasses.replace(t, rounds=tuple(
+        dataclasses.replace(rec, pairs=[list(p) for p in rec.pairs])
+        for rec in t.rounds))
+
+
+def assert_decodes_as_reference(t):
+    m, revealed = t.params.m, t.unveils[0].revealed
+    assert (backward_decode(t.rounds, revealed, m)
+            == reference_backward_decode(t.rounds, revealed, m))
 
 
 class TestBackwardDecode:
@@ -56,6 +107,46 @@ class TestBackwardDecode:
                          ((0, 1), (2, 3)), Fraction(3), (2, 0))
         bit, position = backward_decode((r1, r2), [1, 2], 2)
         assert bit is None and position == (1, 0)
+
+
+class TestDecodeKernel:
+    """backward_decode against the per-commitment reference: the same
+    (bit, position) on honest transcripts and on every single edit."""
+
+    @pytest.mark.parametrize("m, rounds", [(2, 4), (3, 3), (10, 3)])
+    def test_every_single_edit(self, m, rounds):
+        t = run_protocol(ProtocolParams(m, "1", "0.005", "0.01"), rounds, 1, 3, 4)
+        assert backward_decode(t.rounds, t.unveils[0].revealed, m) == (1, None)
+        edits = 0
+        for edited in single_edits(t):
+            assert_decodes_as_reference(edited)
+            edits += 1
+        assert edits == 2 * ((m ** rounds - 1) // (m - 1) + m ** (rounds - 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 1),
+           st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1), st.data())
+    def test_drawn_runs_and_edits(self, m, rounds, bit, alice, bob, data):
+        t = run_protocol(ProtocolParams(m, "1", "0.005", "0.01"), rounds, bit,
+                         alice, bob)
+        assert_decodes_as_reference(t)
+        k = data.draw(st.integers(1, rounds))
+        j = data.draw(st.integers(0, m ** (k - 1) - 1))
+        value = data.draw(st.integers(0, t.params.modulus - 1))
+        assert_decodes_as_reference(with_value(t, k, j, value))
+        j = data.draw(st.integers(0, m ** (rounds - 1) - 1))
+        assert_decodes_as_reference(with_revealed(t, j, value))
+
+    @pytest.mark.parametrize("edit", [None, (3, 5), (2, 1), (1, 0)])
+    def test_list_pairs(self, params_m3, edit):
+        # list pairs are outside the verifier's shape check, and decode
+        # as the reference does
+        t = run_protocol(params_m3, 3, 0, 5, 6)
+        if edit is not None:
+            k, j = edit
+            t = with_value(t, k, j, (t.rounds[k - 1].values[j] + 1) % 8)
+        assert_decodes_as_reference(with_list_pairs(t))
+        assert_decodes_as_reference(t)
 
 
 class TestCompleteness:
