@@ -13,14 +13,12 @@ from .adversary import (AttackOutcome, OffsetGuessAlice, OracleBudgetError,
                         offset_guess_reveal, optimal_flip_success, run_attack)
 from .agents import (AliceState, UnveilMessage, alice_response, bob_challenge,
                      make_tape)
-from .analysis import (CapacityReport, capacity_report, round_traffic_bits,
-                       tape_consumed)
-from .codec import (PairChallenge, RandomTape, binary_form, commit_one,
-                    commit_round, decode_one, round_payload_bits,
-                    segment_bounds)
+from .analysis import CapacityReport, capacity_report, round_traffic_bits
+from .codec import (PairChallenge, RandomTape, binary_forms, commit_round,
+                    decode_one, tape_consumed)
 from .netsim import (CausalView, HonestAlice, RoundRecord, SimResult,
                      TimedMessage, Transcript, aggregate_event, causal_view,
-                     replay_decisions, run_protocol, simulate)
+                     replay_decisions, simulate)
 from .rng import GENERATOR_ID, Stream, derive_seed
 from .spacetime import (GeometryError, ProtocolParams, SpacetimeEvent,
                         as_exact, exact_str, round_site, round_window,

@@ -7,11 +7,11 @@ replayed in isolation.  Alice's agents share one pre-materialized random
 tape and a committed bit; responses are deterministic functions of those
 plus the received challenge.
 
-Unveiling is run by the simulator (``netsim``): the Alice at the site
-opposite round R reveals round R's tape segment (``HonestAlice.unveil``)
-at honest_unveil_time, (R-1)*T + delta_t + intra_delay.  That mirrors when
-her response would complete were round R at her own site, and leaves
-margin T + delta_t before the causal deadline for default intra delay.
+Round k's payload is the committed bit for k = 1 and, for k >= 2, the
+binary forms of round k-1's keys; the tape rule itself (which keys a round
+uses) lives in ``codec``.  Unveiling is run by the simulator (``netsim``):
+the Alice at the site opposite round R reveals round R's tape segment
+(``HonestAlice.unveil``) at the instant round R is answered.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codec import PairChallenge, RandomTape, commit_round, round_payload_bits
+from .codec import (PairChallenge, RandomTape, binary_forms, commit_round,
+                    tape_consumed)
 from .rng import Stream, derive_seed
 from .spacetime import ProtocolParams, as_exact
-from .analysis import tape_consumed
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,11 @@ def bob_challenge(k: int, params: ProtocolParams, stream: Stream) -> PairChallen
 
 
 def round_bits(k: int, state: AliceState, m: int) -> list[int]:
-    """Payload bits for round k: the committed bit, then tape recursion."""
+    """Payload bits for round k: the committed bit, then for k >= 2 the
+    binary forms of round k-1's keys, m**(k-1) bits in tape order."""
     if k == 1:
         return [state.committed_bit]
-    return round_payload_bits(k, state.tape, m)
+    return binary_forms(state.tape.segment(k - 1, m), m)
 
 
 def alice_response(k: int, challenge: PairChallenge, state: AliceState,
@@ -85,7 +86,3 @@ def alice_response(k: int, challenge: PairChallenge, state: AliceState,
     keys = state.tape.segment(k, params.m)
     return tuple(commit_round(bits, challenge.pairs, keys, params.modulus))
 
-
-def honest_unveil_time(params: ProtocolParams, last_round: int) -> Fraction:
-    """Earliest-safe unveil completion: mirror of the round-R response time."""
-    return (last_round - 1) * params.period + params.delta_t + params.intra_delay

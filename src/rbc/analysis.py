@@ -15,16 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .codec import tape_consumed
 from .spacetime import ProtocolParams, Scalar, as_exact, exact_str
-
-
-def tape_consumed(m: int, rounds: int) -> int:
-    """Total keys used by rounds 1..R: (m**R - 1) / (m - 1), exactly."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    return (m ** rounds - 1) // (m - 1)
 
 
 def round_traffic_bits(m: int, k: int) -> int:

@@ -10,14 +10,15 @@ revealed key decodes to at most one bit (the basis of binding).
 Round k commits the binary forms of the keys consumed in round k-1, each
 key least significant bit first and m bits long (binary_forms, also the
 expansion the forged chain uses), so the tape is consumed in segments of
-size m**(k-1).  The verifier turns a decoded round's bits back into the
-previous round's keys with from_binary_forms, the list-level inverse: one
-reversed digit text for the whole round and one int(..., 2) per key,
-which at m=10 takes about 8 ms per 10,000 keys against 25 ms for a sum
-of shifted bits per key.  Tape indices are 0-based internally; external
-documentation counts entries from 1.  Pairs within one round are sampled
-independently, so the same pair may repeat across positions; distinctness
-inside each pair is required in every round.
+size m**(k-1).  The tape rule lives here and nowhere else:
+tape_consumed(m, R) is the geometric sum of the segment sizes, and
+RandomTape.segment(k, m) is the slice that ends there.  The verifier turns
+a decoded round's bits back into the previous round's keys with
+from_binary_forms, the list-level inverse: one reversed digit text for the
+whole round and one int(..., 2) per key.  Tape indices are 0-based
+internally; external documentation counts entries from 1.  Pairs within
+one round are sampled independently, so the same pair may repeat across
+positions; distinctness inside each pair is required in every round.
 
 The arithmetic runs unchecked on residues in [0, N), bits in {0, 1} and
 pairs of exactly two members: inputs are checked once where they enter,
@@ -25,10 +26,8 @@ in the simulator and in the verifier's shape check.  One residue
 predicate, first_non_residue, serves the simulator (a strategy's
 values), the verifier (values and reveals against N) and the transcript
 reader (values, reveals and pair members, lower bound only).  The
-verifier's pair loop inlines it: it must also find equal members and name
-the first fault in walk order, and at m=10, R=6 the C-level passes over
-round 6's 100,000 pairs (shape, flatten, this predicate, equality) summed
-to about 38 ms against the loop's 24 ms.
+verifier's pair loop inlines it, because it must also find equal members
+and name the first fault in walk order.
 """
 
 from __future__ import annotations
@@ -58,11 +57,21 @@ class RandomTape:
     values: tuple[int, ...]
 
     def segment(self, k: int, m: int) -> tuple[int, ...]:
-        start, count = segment_bounds(k, m)
-        if start + count > len(self.values):
+        """Round k's keys: the m**(k-1) entries after those of rounds 1..k-1."""
+        end = tape_consumed(m, k)
+        if end > len(self.values):
             raise ValueError(f"tape too short for round {k}: "
-                             f"need {start + count}, have {len(self.values)}")
-        return self.values[start:start + count]
+                             f"need {end}, have {len(self.values)}")
+        return self.values[end - m ** (k - 1):end]
+
+
+def tape_consumed(m: int, rounds: int) -> int:
+    """Total keys used by rounds 1..R: (m**R - 1) / (m - 1), exactly."""
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    return (m ** rounds - 1) // (m - 1)
 
 
 def first_non_residue(values: Sequence[int],
@@ -82,17 +91,10 @@ def first_non_residue(values: Sequence[int],
     return None
 
 
-def commit_one(pair: tuple[int, int], key: int, bit: int, modulus: int) -> int:
-    """Commit one bit: pair[bit] + key mod N.
-
-    Precondition: residues in [0, N) and bit 0 or 1, as the simulator makes.
-    """
-    return (pair[bit] + key) % modulus
-
-
 def decode_one(response: int, pair: tuple[int, int], key: int,
                modulus: int) -> Optional[int]:
-    """Invert commit_one: the bit whose pair member equals response - key.
+    """Invert commit_round at one position: the bit whose pair member
+    equals response - key.
 
     Returns None when neither member matches (an invalid opening, not a
     fault).  At most one branch can match because n0 != n1.  Precondition:
@@ -106,16 +108,13 @@ def decode_one(response: int, pair: tuple[int, int], key: int,
     return None
 
 
-def binary_form(x: int, m: int) -> list[int]:
-    """Bits of x, least significant first, padded to length m."""
-    if not 0 <= x < (1 << m):
-        raise ValueError(f"value {x} out of range for {m} bits")
-    return [(x >> j) & 1 for j in range(m)]
-
-
 def binary_forms(values: Sequence[int], m: int) -> list[int]:
-    """The binary_form of each value, concatenated: m bits per value."""
-    return [bit for x in values for bit in binary_form(x, m)]
+    """The bits of each value, least significant first and m per value,
+    concatenated.  Every value must lie in [0, 2**m)."""
+    if values and not (0 <= min(values) and max(values) < 1 << m):
+        raise ValueError(f"values in [{min(values)}, {max(values)}] out of "
+                         f"range for {m} bits")
+    return [(x >> j) & 1 for x in values for j in range(m)]
 
 
 def from_binary_forms(bits: Sequence[int], m: int) -> list[int]:
@@ -132,37 +131,14 @@ def from_binary_forms(bits: Sequence[int], m: int) -> list[int]:
             for j in range(len(text) - m, len(text) % m - 1, -m)]
 
 
-def segment_bounds(k: int, m: int) -> tuple[int, int]:
-    """Tape slice consumed by round k: (start, count), 0-based.
-
-    Round k uses m**(k-1) keys beginning right after the keys of all earlier
-    rounds, so start = (m**(k-1) - 1) / (m - 1), the geometric partial sum.
-    """
-    if k < 1:
-        raise ValueError("round index starts at 1")
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    count = m ** (k - 1)
-    start = (count - 1) // (m - 1)
-    return start, count
-
-
-def round_payload_bits(k: int, tape: RandomTape, m: int) -> list[int]:
-    """Bits committed in round k >= 2: binary forms of round (k-1)'s keys.
-
-    Concatenated in tape order, each key least-significant-bit first, giving
-    m**(k-1) bits.  Round 1's payload is the externally chosen bit, not a
-    tape function, so k = 1 is rejected here.
-    """
-    if k < 2:
-        raise ValueError("round 1 payload is the committed bit itself")
-    return binary_forms(tape.segment(k - 1, m), m)
-
-
 def commit_round(bits: Sequence[int], pairs: Sequence[tuple[int, int]],
                  keys: Sequence[int], modulus: int) -> list[int]:
-    """Elementwise commit_one: position j uses bits[j], pairs[j], keys[j]."""
+    """Commit each bit: position j gives pairs[j][bits[j]] + keys[j] mod N.
+
+    Precondition: residues in [0, N) and bits 0 or 1, as the simulator
+    makes them.
+    """
     if not (len(bits) == len(pairs) == len(keys)):
         raise ValueError(f"length mismatch: {len(bits)} bits, "
                          f"{len(pairs)} pairs, {len(keys)} keys")
-    return [commit_one(p, key, b, modulus) for b, p, key in zip(bits, pairs, keys)]
+    return [(p[b] + key) % modulus for b, p, key in zip(bits, pairs, keys)]

@@ -34,9 +34,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .agents import (AliceState, UnveilMessage, alice_response,
-                     bob_challenge, honest_unveil_time, make_tape)
-from .analysis import tape_consumed
-from .codec import MAX_M, PairChallenge, first_non_residue
+                     bob_challenge, make_tape)
+from .codec import MAX_M, PairChallenge, first_non_residue, tape_consumed
 from .rng import Stream, derive_seed
 from .spacetime import (ProtocolParams, SpacetimeEvent, as_exact, round_site,
                         round_window)
@@ -203,11 +202,11 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
 
     Honest Bob agents always follow the schedule: round k's challenge
     transmission occupies [(k-1)T, (k-1)T + delta_t] at round_site(k), and
-    Alice's reply completes the instant the challenge arrives.  The unveil
-    is at the honest mirror time; strategies choose only data.  Params with
-    problems() are refused: the walk's order holds only for valid geometry.
-    So is a run that would draw more than MAX_TAPE_KEYS tape keys.
-    strategy=None plays HonestAlice().
+    Alice's reply completes the instant the challenge arrives.  The unveils
+    complete at round R's answer instant; strategies choose only data.
+    Params with problems() are refused: the walk's order holds only for
+    valid geometry.  So is a run that would draw more than MAX_TAPE_KEYS
+    tape keys.  strategy=None plays HonestAlice().
     """
     problems = params.problems()
     if problems:
@@ -252,13 +251,15 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
         log.append(TimedMessage(payload, SpacetimeEvent(at(tick), from_site),
                                 to_site, at(arrival)))
 
-    def send_challenge(k: int) -> PairChallenge:
-        """Log round k's challenge, sent as its window ends."""
+    def send_challenge(k: int) -> tuple[PairChallenge, int]:
+        """Log round k's challenge, sent as its window ends; return it and
+        its answer instant, the tick it arrives."""
         site = round_site(k)
         payload = bob_challenge(k, params,
                                 Stream(derive_seed(bob_seed, "bob", site, k)))
-        emit(payload, round_window(ticks, k)[1], site, site)
-        return payload
+        end = round_window(ticks, k)[1]
+        emit(payload, end, site, site)
+        return payload, end + ticks.intra_delay
 
     def decide(kind: str, site: int, now: int, k: int,
                what: str) -> tuple[Fraction, tuple[int, ...]]:
@@ -276,13 +277,12 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
         completions.append((now, site))
         return time, values
 
-    def respond(challenge: PairChallenge) -> None:
-        """Answer a challenge the instant it arrives; log the record at its
+    def respond(challenge: PairChallenge, now: int) -> None:
+        """Answer a challenge at its answer instant; log the record at its
         own site and relay it to the twin site."""
         k = challenge.round
         site = round_site(k)
         start, end, _ = round_window(ticks, k)
-        now = end + ticks.intra_delay
         time, values = decide("respond", site, now, k, f"round {k} response")
         record = RoundRecord(round=k, site=site, challenge_start=at(start),
                              challenge_end=at(end), pairs=challenge.pairs,
@@ -291,8 +291,7 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
         emit(record, now, site, site)
         emit(record, now, site, 3 - site)
 
-    def unveil(site: int) -> None:
-        now = honest_unveil_time(ticks, rounds)
+    def unveil(site: int, now: int) -> None:
         time, revealed = decide("unveil", site, now, rounds, "unveil")
         message = UnveilMessage(round=rounds, revealed=revealed, site=site,
                                 completes_at=time)
@@ -301,15 +300,16 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
 
     try:
         for k in range(1, rounds):
-            respond(send_challenge(k))
-        last, last_site = send_challenge(rounds), round_site(rounds)
+            respond(*send_challenge(k))
+        last, now = send_challenge(rounds)
+        last_site = round_site(rounds)
         # Round R's answer and the unveils share one instant: site 1 acts
         # before site 2, and at one site the unveil precedes the answer.
         for site in (1, 2):
             if site != last_site or dual_unveil:
-                unveil(site)
+                unveil(site, now)
             if site == last_site:
-                respond(last)
+                respond(last, now)
     except _Abort as stop:
         abort = str(stop)
 
@@ -324,14 +324,6 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
     return SimResult(transcript=transcript, messages=tuple(log),
                      decisions=tuple(decisions), strategy=strategy,
                      bit=bit, planned_rounds=rounds)
-
-
-def run_protocol(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
-                 bob_seed: int, alice_strategy=None, *,
-                 dual_unveil: bool = False) -> Transcript:
-    """Convenience wrapper returning just the transcript."""
-    return simulate(params, rounds, bit, alice_seed, bob_seed,
-                    strategy=alice_strategy, dual_unveil=dual_unveil).transcript
 
 
 def replay_decisions(result: SimResult) -> None:

@@ -259,8 +259,8 @@ class SpacetimeEvent:
 
 def round_site(k: int) -> int:
     """Site hosting round k: odd rounds at site 1, even at site 2."""
-    if k < 1:
-        raise ValueError("round index starts at 1")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"round index must be an int >= 1, got {k!r}")
     return 1 if k % 2 == 1 else 2
 
 
@@ -270,13 +270,14 @@ def round_window(params: ProtocolParams, k: int) -> tuple[Fraction, Fraction, Fr
     The challenge transmission must lie within [challenge_start,
     challenge_end] and the response must complete by response_end, both
     bounds inclusive ("completed by" semantics).  Each window is computed
-    once per params object.
+    once per params object, so a k that is not an int >= 1 is refused
+    before it can enter the memo under an equal int's key.
     """
     windows = params._windows
     window = windows.get(k)
     if window is None:
-        if k < 1:
-            raise ValueError("round index starts at 1")
+        if type(k) is not int or k < 1:
+            raise ValueError(f"round index must be an int >= 1, got {k!r}")
         start = (k - 1) * params.period
         window = windows[k] = (start, start + params.delta_t,
                                start + params.delta + 2 * params.delta_t)

@@ -126,10 +126,10 @@ def _shape_problem(transcript: Transcript) -> Optional[Verdict]:
     modulus = params.modulus
     for i, rec in enumerate(transcript.rounds):
         k = i + 1
-        if rec.round != k:
+        if type(rec.round) is not int or rec.round != k:
             return _reject(COUNT_MISMATCH, f"rounds not consecutive: "
                            f"position {i} holds round {rec.round}, expected {k}")
-        if rec.site != round_site(k):
+        if type(rec.site) is not int or rec.site != round_site(k):
             return _reject(SITE_MISMATCH, f"round {k} recorded at site {rec.site}, "
                            f"schedule requires site {round_site(k)}")
         expected = params.m ** (k - 1)
@@ -159,9 +159,9 @@ def _shape_problem(transcript: Transcript) -> Optional[Verdict]:
     last = transcript.last_round
     expected = params.m ** (last - 1)
     for u in transcript.unveils:
-        if u.site not in (1, 2):
+        if type(u.site) is not int or u.site not in (1, 2):
             return _reject(SITE_MISMATCH, f"unveil site {u.site} is not a site id")
-        if u.round != last:
+        if type(u.round) is not int or u.round != last:
             return _reject(COUNT_MISMATCH, f"unveil targets round {u.round}, "
                            f"transcript ends at round {last}")
         if len(u.revealed) != expected:

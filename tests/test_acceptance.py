@@ -19,7 +19,7 @@ import pytest
 
 from rbc.adversary import OffsetGuessAlice, optimal_flip_success, run_attack
 from rbc.analysis import capacity_report
-from rbc.codec import commit_one
+from rbc.codec import commit_round
 from rbc.netsim import CausalView, HonestAlice, replay_decisions, simulate
 from rbc.rng import Stream
 from rbc.spacetime import ProtocolParams, round_window, unveil_deadline
@@ -95,11 +95,9 @@ def test_criterion_2_exact_hiding():
     for m in GRID_MS:
         modulus = 1 << m
         for n0, n1 in permutations(range(modulus), 2):
-            pair = (n0, n1)
-            dist0 = Counter(commit_one(pair, key, 0, modulus)
-                            for key in range(modulus))
-            dist1 = Counter(commit_one(pair, key, 1, modulus)
-                            for key in range(modulus))
+            pairs, keys = [(n0, n1)] * modulus, list(range(modulus))
+            dist0 = Counter(commit_round([0] * modulus, pairs, keys, modulus))
+            dist1 = Counter(commit_round([1] * modulus, pairs, keys, modulus))
             pairs_checked += 1
             if dist0 != dist1 or set(dist0.values()) != {1}:
                 unequal += 1

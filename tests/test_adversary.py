@@ -10,7 +10,7 @@ import pytest
 from rbc.adversary import (_ORACLE_MAX_BITS, OffsetGuessAlice,
                            OracleBudgetError, _oracle_bits,
                            optimal_flip_success, run_attack)
-from rbc.codec import binary_form
+from rbc.codec import binary_forms
 from rbc.netsim import replay_decisions, simulate
 from rbc.spacetime import ProtocolParams
 from rbc.verifier import verify
@@ -203,7 +203,7 @@ class TestForcedChain:
             tape2 = t.unveils[0].revealed
             r1, r2 = t.rounds
             forged_m1 = (r1.values[0] - r1.pairs[0][0]) % modulus
-            target_bits = binary_form(forged_m1, m)
+            target_bits = binary_forms([forged_m1], m)
             reveal = tuple((r2.values[j] - r2.pairs[j][b]) % modulus
                            for j, b in enumerate(target_bits))
             verdict = verify(with_unveil(t, revealed=reveal))

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rbc.agents import (AliceState, alice_response, bob_challenge,
-                        honest_unveil_time, make_tape)
+from rbc.agents import AliceState, alice_response, bob_challenge, make_tape
 from rbc.codec import PairChallenge, RandomTape, decode_one
 from rbc.netsim import simulate
 from rbc.rng import Stream, derive_seed
-from rbc.spacetime import unveil_deadline
+from rbc.spacetime import round_window, unveil_deadline
 
 from conftest import valid_params
 
@@ -107,14 +106,17 @@ class TestAliceUnveil:
         assert simulate(params_m2, 2, 1, 7, 8).transcript.unveils[0].site == 1
 
     def test_completes_before_deadline(self, params_m2):
-        unveil, = simulate(params_m2, 2, 1, 7, 8).transcript.unveils
-        assert unveil.completes_at == honest_unveil_time(params_m2, 2)
+        t = simulate(params_m2, 2, 1, 7, 8).transcript
+        unveil, = t.unveils
+        assert unveil.completes_at == t.rounds[-1].response_end
         assert unveil.completes_at < unveil_deadline(params_m2, 2)
 
     @given(valid_params())
     def test_unveil_time_has_margin_everywhere(self, p):
+        # the unveils complete at round R's answer instant
         for r in (1, 2, 3, 9):
-            assert honest_unveil_time(p, r) < unveil_deadline(p, r)
+            answer = round_window(p, r)[1] + p.intra_delay
+            assert answer < unveil_deadline(p, r)
 
     def test_partner_unveil_mirrors_primary(self, params_m2):
         t = simulate(params_m2, 2, 1, 7, 8, dual_unveil=True).transcript

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rbc.analysis import capacity_report, round_traffic_bits, tape_consumed
+from rbc.analysis import capacity_report, round_traffic_bits
+from rbc.codec import tape_consumed
 from rbc.netsim import simulate
 from rbc.spacetime import ProtocolParams
 

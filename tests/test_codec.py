@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rbc.codec import (RandomTape, binary_form, binary_forms, commit_one,
-                       commit_round, decode_one, first_non_residue,
-                       from_binary_forms, round_payload_bits, segment_bounds)
+from rbc.agents import AliceState, round_bits
+from rbc.codec import (RandomTape, binary_forms, commit_round, decode_one,
+                       first_non_residue, from_binary_forms, tape_consumed)
 
 
 def all_pairs(modulus):
@@ -17,14 +17,16 @@ def all_pairs(modulus):
 
 
 class TestCommitOne:
+    """One bit committed by a one-position commit_round."""
+
     def test_bit_zero(self):
-        assert commit_one((3, 9), 7, 0, 16) == 10
+        assert commit_round([0], [(3, 9)], [7], 16) == [10]
 
     def test_bit_one_wraps(self):
-        assert commit_one((3, 9), 7, 1, 16) == 0
+        assert commit_round([1], [(3, 9)], [7], 16) == [0]
 
     def test_identity_key(self):
-        assert commit_one((3, 9), 0, 0, 16) == 3
+        assert commit_round([0], [(3, 9)], [0], 16) == [3]
 
 
 class TestDecodeOne:
@@ -45,7 +47,8 @@ class TestDecodeOne:
         key = data.draw(st.integers(0, modulus - 1))
         bit = data.draw(st.integers(0, 1))
         pair = (n0, n1)
-        assert decode_one(commit_one(pair, key, bit, modulus), pair, key, modulus) == bit
+        [response] = commit_round([bit], [pair], [key], modulus)
+        assert decode_one(response, pair, key, modulus) == bit
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_exactly_two_keys_open_any_response(self, m):
@@ -62,35 +65,37 @@ class TestHiding:
     def test_output_distribution_identical_for_both_bits(self, m):
         # Exhaustive: over a uniform key the response is uniform either way.
         modulus = 1 << m
+        keys = list(range(modulus))
         for pair in all_pairs(modulus):
-            dist0 = Counter(commit_one(pair, k, 0, modulus) for k in range(modulus))
-            dist1 = Counter(commit_one(pair, k, 1, modulus) for k in range(modulus))
+            pairs = [pair] * modulus
+            dist0 = Counter(commit_round([0] * modulus, pairs, keys, modulus))
+            dist1 = Counter(commit_round([1] * modulus, pairs, keys, modulus))
             assert dist0 == dist1
             assert set(dist0.values()) == {1}
 
 
 class TestBinaryForm:
     def test_examples(self):
-        assert binary_form(5, 3) == [1, 0, 1]
-        assert binary_form(0, 4) == [0, 0, 0, 0]
-        assert binary_form(15, 4) == [1, 1, 1, 1]
+        assert binary_forms([5], 3) == [1, 0, 1]
+        assert binary_forms([0], 4) == [0, 0, 0, 0]
+        assert binary_forms([15], 4) == [1, 1, 1, 1]
+        assert binary_forms([5, 0, 6], 3) == [1, 0, 1, 0, 0, 0, 0, 1, 1]
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            binary_form(8, 3)
-        with pytest.raises(ValueError):
-            binary_form(-1, 3)
+        for values in ([8], [-1], [1, 8, 2], [1, -1, 2], [-1, 8]):
+            with pytest.raises(ValueError):
+                binary_forms(values, 3)
 
     @given(st.integers(1, 10), st.data())
     def test_bijection(self, m, data):
         x = data.draw(st.integers(0, (1 << m) - 1))
-        bits = binary_form(x, m)
+        bits = binary_forms([x], m)
         assert len(bits) == m
         assert from_binary_forms(bits, m) == [x]
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_bijection_exhaustive(self, m):
-        images = {tuple(binary_form(x, m)) for x in range(1 << m)}
+        images = {tuple(binary_forms([x], m)) for x in range(1 << m)}
         assert len(images) == 1 << m
 
     @pytest.mark.parametrize("m", [2, 3, 10, 63, 64])
@@ -111,50 +116,68 @@ class TestBinaryForm:
 
 
 class TestSegmentBounds:
+    """tape_consumed and the RandomTape.segment slices it ends."""
+
     def test_round_one_uses_first_entry(self):
+        tape = RandomTape(tuple(range(20)))
         for m in (2, 5, 10):
-            assert segment_bounds(1, m) == (0, 1)
+            assert tape_consumed(m, 1) == 1
+            assert tape.segment(1, m) == (0,)
 
     def test_round_two_m10(self):
-        assert segment_bounds(2, 10) == (1, 10)
+        assert tape_consumed(10, 2) == 11
+        assert RandomTape(tuple(range(11))).segment(2, 10) == tuple(range(1, 11))
 
     def test_round_three_m10(self):
-        assert segment_bounds(3, 10) == (11, 100)
+        assert tape_consumed(10, 3) == 111
+        tape = RandomTape(tuple(range(111)))
+        assert tape.segment(3, 10) == tuple(range(11, 111))
 
     @given(st.integers(2, 10), st.integers(1, 12))
     def test_segments_tile_the_tape(self, m, k):
-        start, count = segment_bounds(k, m)
-        next_start, _ = segment_bounds(k + 1, m)
-        assert next_start == start + count
+        assert tape_consumed(m, k + 1) == tape_consumed(m, k) + m ** k
 
     @given(st.integers(2, 6), st.integers(1, 8))
     def test_total_consumption_geometric(self, m, rounds):
-        total = sum(segment_bounds(k, m)[1] for k in range(1, rounds + 1))
-        assert total == (m ** rounds - 1) // (m - 1)
+        total = tape_consumed(m, rounds)
+        assert total == sum(m ** (k - 1) for k in range(1, rounds + 1))
+        tape = RandomTape(tuple(range(total)))
+        segments = [tape.segment(k, m) for k in range(1, rounds + 1)]
+        assert [len(s) for s in segments] == [m ** (k - 1)
+                                              for k in range(1, rounds + 1)]
+        assert sum(segments, ()) == tape.values
 
 
 class TestRoundPayloadBits:
+    """round_bits: the committed bit, then the binary forms of the keys of
+    the round before."""
+
+    @staticmethod
+    def bits(k, tape, m, bit=0):
+        return round_bits(k, AliceState(bit, tape, k), m)
+
     def test_round_two(self):
         tape = RandomTape((3,))
-        assert round_payload_bits(2, tape, 2) == [1, 1]
+        assert self.bits(2, tape, 2) == [1, 1]
 
     def test_round_three_concatenates(self):
         tape = RandomTape((0, 1, 2, 9, 9, 9, 9))
-        assert round_payload_bits(3, tape, 2) == [1, 0, 0, 1]
+        assert self.bits(3, tape, 2) == [1, 0, 0, 1]
 
-    def test_rejects_round_one(self):
-        with pytest.raises(ValueError):
-            round_payload_bits(1, RandomTape((0,)), 2)
+    def test_round_one_is_the_committed_bit(self):
+        # round 1's payload is no tape function: an empty tape serves
+        for bit in (0, 1):
+            assert self.bits(1, RandomTape(()), 2, bit) == [bit]
 
     @given(st.integers(2, 4), st.integers(2, 5))
     def test_length_is_geometric(self, m, k):
-        need = segment_bounds(k - 1, m)[0] + segment_bounds(k - 1, m)[1]
+        need = tape_consumed(m, k - 1)
         tape = RandomTape(tuple(i % (1 << m) for i in range(need)))
-        assert len(round_payload_bits(k, tape, m)) == m ** (k - 1)
+        assert len(self.bits(k, tape, m)) == m ** (k - 1)
 
     def test_rejects_short_tape(self):
         with pytest.raises(ValueError):
-            round_payload_bits(3, RandomTape((1,)), 2)
+            self.bits(3, RandomTape((1,)), 2)
 
 
 class TestCommitRound:
@@ -166,7 +189,10 @@ class TestCommitRound:
         assert commit_round([], [], [], 16) == []
 
     def test_singleton_matches_commit_one(self):
-        assert commit_round([1], [(3, 9)], [7], 16) == [commit_one((3, 9), 7, 1, 16)]
+        bits, pairs, keys = [1, 0, 1], [(3, 9), (2, 5), (15, 0)], [7, 4, 1]
+        assert commit_round(bits, pairs, keys, 16) == [
+            commit_round([b], [p], [key], 16)[0]
+            for b, p, key in zip(bits, pairs, keys)]
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbc.adversary import OffsetGuessAlice
-from rbc.agents import honest_unveil_time
-from rbc.analysis import tape_consumed
+from rbc.codec import tape_consumed
 from rbc.codec import PairChallenge
 from rbc.netsim import (MAX_TAPE_KEYS, CausalView, HonestAlice, RoundRecord,
                         TimedMessage, aggregate_event, causal_view,
-                        replay_decisions, run_protocol, simulate)
+                        replay_decisions, simulate)
 from rbc.spacetime import (GeometryError, ProtocolParams, SpacetimeEvent,
                            round_site, round_window, unveil_deadline)
 from rbc.transcript_io import serialize_transcript
@@ -86,7 +85,7 @@ class TestCausalView:
 
 class TestRunProtocol:
     def test_single_round_accepts(self, params_m2):
-        t = run_protocol(params_m2, 1, 0, 21, 22)
+        t = simulate(params_m2, 1, 0, 21, 22).transcript
         assert t.abort is None
         assert len(t.rounds) == 1
         assert len(t.unveils) == 1
@@ -97,21 +96,22 @@ class TestRunProtocol:
 
     def test_round_sizes_are_geometric(self):
         p = ProtocolParams(3, "1", "0.005", "0.01")
-        t = run_protocol(p, 4, 1, 5, 6)
+        t = simulate(p, 4, 1, 5, 6).transcript
         assert [len(r.values) for r in t.rounds] == [1, 3, 9, 27]
         assert [len(r.pairs) for r in t.rounds] == [1, 3, 9, 27]
 
     def test_deterministic_and_byte_identical(self, params_m3):
-        a = run_protocol(params_m3, 3, 1, 7, 9)
-        b = run_protocol(params_m3, 3, 1, 7, 9)
+        a = simulate(params_m3, 3, 1, 7, 9).transcript
+        b = simulate(params_m3, 3, 1, 7, 9).transcript
         assert a == b
         assert serialize_transcript(a) == serialize_transcript(b)
 
     def test_seed_changes_transcript(self, params_m2):
-        assert run_protocol(params_m2, 2, 1, 7, 9) != run_protocol(params_m2, 2, 1, 8, 9)
+        assert (simulate(params_m2, 2, 1, 7, 9).transcript
+                != simulate(params_m2, 2, 1, 8, 9).transcript)
 
     def test_sites_alternate(self, params_m2):
-        t = run_protocol(params_m2, 4, 0, 1, 2)
+        t = simulate(params_m2, 4, 0, 1, 2).transcript
         assert [r.site for r in t.rounds] == [1, 2, 1, 2]
         assert t.unveils[0].site == 3 - round_site(4) == 1
 
@@ -119,7 +119,7 @@ class TestRunProtocol:
            st.integers(0, 1), st.integers(0, 2**16), st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)
     def test_honest_runs_respect_all_windows(self, p, rounds, bit, sa, sb):
-        t = run_protocol(p, rounds, bit, sa, sb)
+        t = simulate(p, rounds, bit, sa, sb).transcript
         assert t.abort is None
         for rec in t.rounds:
             start, end, response_end = round_window(p, rec.round)
@@ -130,7 +130,7 @@ class TestRunProtocol:
         assert verify(t).bit == bit
 
     def test_event_times_non_decreasing_per_site(self, params_m2):
-        t = run_protocol(params_m2, 5, 1, 3, 4)
+        t = simulate(params_m2, 5, 1, 3, 4).transcript
         for site in (1, 2):
             times = []
             for rec in t.rounds:
@@ -141,7 +141,7 @@ class TestRunProtocol:
             assert times == sorted(times)
 
     def test_dual_unveil_mode(self, params_m2):
-        t = run_protocol(params_m2, 2, 1, 7, 9, dual_unveil=True)
+        t = simulate(params_m2, 2, 1, 7, 9, dual_unveil=True).transcript
         assert sorted(u.site for u in t.unveils) == [1, 2]
         assert t.unveils[0].revealed == t.unveils[1].revealed
         assert verify(t).bit == 1
@@ -159,14 +159,14 @@ class TestAbortPaths:
         # intra_delay = delta + delta_t: every challenge arrives exactly at
         # its inclusive response deadline
         p = ProtocolParams(2, "1", "0.01", "0.01", intra_delay="0.02")
-        t = run_protocol(p, 3, 1, 1, 2)
+        t = simulate(p, 3, 1, 1, 2).transcript
         assert t.abort is None
         assert [rec.response_end for rec in t.rounds] == [
             round_window(p, k)[2] for k in (1, 2, 3)]
         assert verify(t).bit == 1
 
     def test_malformed_strategy_output_recorded(self, params_m2):
-        t = run_protocol(params_m2, 2, 0, 1, 2, ShortAnswer())
+        t = simulate(params_m2, 2, 0, 1, 2, strategy=ShortAnswer()).transcript
         assert t.abort is not None and "expected 2 values" in t.abort
 
     def test_out_of_range_strategy_output_recorded(self, params_m2):
@@ -175,7 +175,7 @@ class TestAbortPaths:
                 return tuple(v + priv.params.modulus
                              for v in super().respond(view, k, priv))
 
-        t = run_protocol(params_m2, 1, 0, 1, 2, BigAnswer())
+        t = simulate(params_m2, 1, 0, 1, 2, strategy=BigAnswer()).transcript
         assert t.abort is not None and "outside" in t.abort
 
     def test_respond_without_needed_relay_recorded(self, params_m2):
@@ -209,7 +209,7 @@ class TestAbortPaths:
 
 class TestModulusBound:
     def test_largest_m_runs(self):
-        t = run_protocol(ProtocolParams(64, "1", "0.005", "0.01"), 2, 1, 3, 4)
+        t = simulate(ProtocolParams(64, "1", "0.005", "0.01"), 2, 1, 3, 4).transcript
         verdict = verify(t)
         assert verdict.accepted and verdict.bit == 1
 
@@ -279,8 +279,8 @@ class TestBobIndependence:
                 honest = super().respond(view, k, priv)
                 return tuple((v + 1) % priv.params.modulus for v in honest)
 
-        honest = run_protocol(params_m2, 3, 1, 7, 9)
-        scrambled = run_protocol(params_m2, 3, 1, 7, 9, Scrambled())
+        honest = simulate(params_m2, 3, 1, 7, 9).transcript
+        scrambled = simulate(params_m2, 3, 1, 7, 9, strategy=Scrambled()).transcript
         assert [r.pairs for r in honest.rounds] == [r.pairs for r in scrambled.rounds]
 
 
@@ -331,7 +331,7 @@ class TestReplay:
 
 class TestAggregateEvent:
     def test_single_round_dominated_by_cross_hop(self, params_m2):
-        t = run_protocol(params_m2, 1, 0, 1, 2)
+        t = simulate(params_m2, 1, 0, 1, 2).transcript
         # manual max: the round-1 record leaves site 1 and crosses to HQ = 2
         rec = t.rounds[0]
         expected = rec.response_end + params_m2.intra_delay + params_m2.cross_delay
@@ -339,7 +339,7 @@ class TestAggregateEvent:
         assert aggregate_event(t) == t.aggregation
 
     def test_aggregation_not_before_any_arrival(self, params_m2):
-        t = run_protocol(params_m2, 4, 1, 3, 4)
+        t = simulate(params_m2, 4, 1, 3, 4).transcript
         hq = t.aggregation.site
         assert hq == 3 - round_site(4)
         for rec in t.rounds:
@@ -349,7 +349,7 @@ class TestAggregateEvent:
             assert t.aggregation.time >= local
 
     def test_requires_unveiling(self, params_m2):
-        t = run_protocol(params_m2, 1, 0, 1, 2)
+        t = simulate(params_m2, 1, 0, 1, 2).transcript
         stripped = dataclasses.replace(t, unveils=(), aggregation=None)
         with pytest.raises(ValueError):
             aggregate_event(stripped)
@@ -381,7 +381,7 @@ class TestPinnedRuns:
     def test_response_window_miss(self, params_m2):
         # Params whose challenges would arrive past the response deadline
         # are invalid, so a transcript carrying them gets range_error.
-        honest = run_protocol(params_m2, 1, 0, 1, 2)
+        honest = simulate(params_m2, 1, 0, 1, 2).transcript
         late = ProtocolParams.unchecked(2, Fraction(1), Fraction(9, 100),
                                         Fraction(1, 1000), Fraction(18, 100))
         verdict = verify(dataclasses.replace(honest, params=late))
@@ -393,7 +393,7 @@ class TestPinnedRuns:
         p = ProtocolParams(3, Fraction(7, 3), Fraction(1, 97), Fraction(1, 31),
                            intra_delay=Fraction(1, 101))
         assert p.clock.scale == 3 * 97 * 31 * 101
-        t = run_protocol(p, 3, 1, 7, 9)
+        t = simulate(p, 3, 1, 7, 9).transcript
         assert t.aggregation == SpacetimeEvent(Fraction(2077524, 303707), 2)
         assert _sha256(t) == (
             "cd48bb7f68f7e613123e88e008452bb37d261124e6d02a472281b8b452fa4a1f")
@@ -425,12 +425,17 @@ class TestTickClock:
                      else p.cross_delay)
             assert msg.earliest_arrival == msg.sent.time + delay
             assert type(msg.sent.time) is type(msg.earliest_arrival) is Fraction
+        # single and dual unveils complete at round R's answer instant
+        answer = round_window(p, rounds)[1] + p.intra_delay
+        assert answer < unveil_deadline(p, rounds)
         for decision in res.decisions:
             assert type(decision.time) is Fraction
             if decision.kind == "unveil":
-                assert decision.time == honest_unveil_time(p, rounds)
+                assert decision.time == answer
         for u in t.unveils:
-            assert u.completes_at == honest_unveil_time(p, rounds)
+            assert u.completes_at == answer
+        if len(t.rounds) == rounds:
+            assert t.rounds[-1].response_end == answer
         if t.abort is None:
             assert t.aggregation == aggregate_event(t)
             assert type(t.aggregation.time) is Fraction

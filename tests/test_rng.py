@@ -92,34 +92,38 @@ class TestStream:
         assert all(1 <= s.nonzero_residue(8) < 8 for _ in range(200))
 
 
-class TestBatches:
-    """u64s, belows and distinct_pairs against their scalar calls."""
+# u64s, belows and distinct_pairs against their scalar calls.  A module
+# function, not a method: a parametrized @given method runs on one class
+# instance per parameter, which Hypothesis refuses as differing executors.
+@pytest.mark.parametrize("m", [2, 3, 10, 64])
+@given(st.integers(0, MASK64))
+@example(0)
+@example(MASK64)
+@settings(max_examples=5, deadline=None)
+def test_batches_equal_scalar_calls(m, seed):
+    modulus = 1 << m
+    draws = [
+        (Stream.u64, lambda s, c: s.u64s(c)),
+        (lambda s: s.below(modulus), lambda s, c: s.belows(modulus, c)),
+        (lambda s: s.below(modulus - 1),
+         lambda s, c: s.belows(modulus - 1, c)),
+        (lambda s: s.distinct_pair(modulus),
+         lambda s, c: s.distinct_pairs(modulus, c)),
+    ]
+    for scalar, batch in draws:
+        reference = Stream(seed)
+        values, states = [], [reference._state]
+        for _ in range(max(COUNTS)):
+            values.append(scalar(reference))
+            states.append(reference._state)
+        for count in COUNTS:
+            stream = Stream(seed)
+            assert batch(stream, count) == values[:count]
+            assert stream._state == states[count]
 
-    @pytest.mark.parametrize("m", [2, 3, 10, 64])
-    @given(st.integers(0, MASK64))
-    @example(0)
-    @example(MASK64)
-    @settings(max_examples=5, deadline=None)
-    def test_batches_equal_scalar_calls(self, m, seed):
-        modulus = 1 << m
-        draws = [
-            (Stream.u64, lambda s, c: s.u64s(c)),
-            (lambda s: s.below(modulus), lambda s, c: s.belows(modulus, c)),
-            (lambda s: s.below(modulus - 1),
-             lambda s, c: s.belows(modulus - 1, c)),
-            (lambda s: s.distinct_pair(modulus),
-             lambda s, c: s.distinct_pairs(modulus, c)),
-        ]
-        for scalar, batch in draws:
-            reference = Stream(seed)
-            values, states = [], [reference._state]
-            for _ in range(max(COUNTS)):
-                values.append(scalar(reference))
-                states.append(reference._state)
-            for count in COUNTS:
-                stream = Stream(seed)
-                assert batch(stream, count) == values[:count]
-                assert stream._state == states[count]
+
+class TestBatches:
+    """The batch draws' edge cases: rejected words and range checks."""
 
     def test_unmix64_inverts_mix64(self):
         for z in (0, 1, GAMMA, MASK64, 0x0123456789ABCDEF):

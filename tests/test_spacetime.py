@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rbc.agents import honest_unveil_time
 from rbc.spacetime import (GeometryError, ProtocolParams, SpacetimeEvent,
                            as_exact, exact_str, round_site, round_window,
                            spacelike, unveil_deadline)
@@ -118,6 +117,15 @@ class TestRoundWindow:
         with pytest.raises(ValueError):
             round_window(params_m2, 0)
 
+    @pytest.mark.parametrize("k", [3.0, True, None, "3", Fraction(3)])
+    def test_refuses_a_non_int_index(self, params_m2, k):
+        # refused before it can enter the memo under an equal int's key
+        with pytest.raises(ValueError, match="round index must be an int"):
+            round_window(params_m2, k)
+        assert round_window(params_m2, 3) == (
+            Fraction("1.93"), Fraction("1.94"), Fraction("1.955"))
+        assert all(type(t) is Fraction for t in round_window(params_m2, 3))
+
 
 class TestClock:
     def test_default_geometry_in_ticks(self, params_m2):
@@ -153,7 +161,10 @@ class TestClock:
         for k in (1, 2, 5):
             assert tuple(map(at, round_window(ticks, k))) == round_window(p, k)
             assert at(unveil_deadline(ticks, k)) == unveil_deadline(p, k)
-            assert at(honest_unveil_time(ticks, k)) == honest_unveil_time(p, k)
+            # round k's answer instant, where simulate puts the unveils
+            answer = round_window(ticks, k)[1] + ticks.intra_delay
+            assert at(answer) == round_window(p, k)[1] + p.intra_delay
+            assert at(answer) < unveil_deadline(p, k)
 
 
 class TestRoundSite:
@@ -168,6 +179,11 @@ class TestRoundSite:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             round_site(0)
+
+    @pytest.mark.parametrize("k", [3.0, True, None, "3"])
+    def test_rejects_a_non_int_index(self, k):
+        with pytest.raises(ValueError, match="round index must be an int"):
+            round_site(k)
 
 
 class TestUnveilDeadline:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from rbc.agents import UnveilMessage
 from rbc.cli import main, verdict_to_json_obj
-from rbc.netsim import RoundRecord, Transcript, run_protocol
+from rbc.netsim import RoundRecord, Transcript, simulate
 from rbc.rng import GENERATOR_ID
 from rbc.spacetime import (ProtocolParams, SpacetimeEvent, exact_str,
                            round_window, unveil_deadline)
@@ -74,11 +74,11 @@ def reference_serialize(t: Transcript) -> str:
 
 class TestRoundTrip:
     def test_equality_round_trip(self, params_m3):
-        t = run_protocol(params_m3, 3, 1, 7, 9)
+        t = simulate(params_m3, 3, 1, 7, 9).transcript
         assert parse_transcript(serialize_transcript(t)) == t
 
     def test_pairs_are_plain_tuples(self, params_m3):
-        t = run_protocol(params_m3, 3, 1, 7, 9)
+        t = simulate(params_m3, 3, 1, 7, 9).transcript
         parsed = parse_transcript(serialize_transcript(t))
         assert parsed == t
         for transcript in (t, parsed):
@@ -87,22 +87,22 @@ class TestRoundTrip:
                 assert all(type(p) is tuple and len(p) == 2 for p in rec.pairs)
 
     def test_byte_identical_reserialization(self, params_m3):
-        t = run_protocol(params_m3, 3, 1, 7, 9)
+        t = simulate(params_m3, 3, 1, 7, 9).transcript
         text = serialize_transcript(t)
         assert serialize_transcript(parse_transcript(text)) == text
 
     def test_dual_unveil_round_trip(self, params_m2):
-        t = run_protocol(params_m2, 2, 0, 1, 2, dual_unveil=True)
+        t = simulate(params_m2, 2, 0, 1, 2, dual_unveil=True).transcript
         assert parse_transcript(serialize_transcript(t)) == t
 
     def test_aborted_transcript_round_trip(self, params_m2):
-        t = run_protocol(params_m2, 2, 0, 1, 2, ShortAnswer())
+        t = simulate(params_m2, 2, 0, 1, 2, strategy=ShortAnswer()).transcript
         assert t.abort is not None
         again = parse_transcript(serialize_transcript(t))
         assert again == t and again.abort == t.abort
 
     def test_unknown_seeds_serialize_as_null(self, params_m2):
-        t = dataclasses.replace(run_protocol(params_m2, 1, 0, 1, 2),
+        t = dataclasses.replace(simulate(params_m2, 1, 0, 1, 2).transcript,
                                 alice_seed=None, bob_seed=None)
         obj = json.loads(serialize_transcript(t))
         assert obj["seeds"] == {"alice": None, "bob": None}
@@ -112,7 +112,7 @@ class TestRoundTrip:
            st.integers(0, 1), st.integers(0, 2**20))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_over_param_space(self, p, rounds, bit, seed):
-        t = run_protocol(p, rounds, bit, seed, seed ^ 0xABCD)
+        t = simulate(p, rounds, bit, seed, seed ^ 0xABCD).transcript
         text = serialize_transcript(t)
         assert parse_transcript(text) == t
         assert serialize_transcript(parse_transcript(text)) == text
@@ -180,8 +180,8 @@ class TestByteIdentity:
         params = ProtocolParams(m, "1", "0.005", "0.01")
         for bit in (0, 1):
             for dual in (False, True):
-                t = run_protocol(params, rounds, bit, 10 * m + rounds, bit,
-                                 dual_unveil=dual)
+                t = simulate(params, rounds, bit, 10 * m + rounds, bit,
+                             dual_unveil=dual).transcript
                 assert len(t.unveils) == (2 if dual else 1)
                 assert serialize_transcript(t) == reference_serialize(t)
 
@@ -197,7 +197,7 @@ class TestByteIdentity:
         # 256 characters, which the parser refuses
         p = ProtocolParams(2, 1 + Fraction(1, 3 ** 120), Fraction(1, 200),
                            Fraction(1, 100) + Fraction(1, 7 ** 120))
-        t = run_protocol(p, 2, 1, 7, 9)
+        t = simulate(p, 2, 1, 7, 9).transcript
         with pytest.raises(ValueError, match=r"^rounds\[1\]\.challenge\.start: "):
             serialize_transcript(t)
 
@@ -258,7 +258,7 @@ class TestWriterRefusesNonJson:
 
     @pytest.mark.parametrize("mutate, message", NON_JSON_INTEGERS)
     def test_field_named(self, params_m2, mutate, message):
-        t = mutate(run_protocol(params_m2, 2, 0, 1, 2))
+        t = mutate(simulate(params_m2, 2, 0, 1, 2).transcript)
         with pytest.raises(ValueError, match="^" + message):
             serialize_transcript(t)
         # the plain json.dumps writer emits a file the reader refuses
@@ -269,7 +269,7 @@ class TestWriterRefusesNonJson:
                              ids=HEADER_OUT_OF_RANGE_IDS)
     def test_header_out_of_range_named(self, params_m2, mutate, message):
         # the writer holds seeds and m to the reader's bounds
-        t = mutate(run_protocol(params_m2, 2, 0, 1, 2))
+        t = mutate(simulate(params_m2, 2, 0, 1, 2).transcript)
         with pytest.raises(ValueError, match="^" + message + "$"):
             serialize_transcript(t)
         with pytest.raises(TranscriptFormatError):
@@ -277,40 +277,43 @@ class TestWriterRefusesNonJson:
 
     @pytest.mark.parametrize("pair", MALFORMED_PAIRS, ids=MALFORMED_PAIR_IDS)
     def test_malformed_pair_named(self, params_m2, pair):
-        t = with_pair(run_protocol(params_m2, 2, 0, 1, 2), 2, 1, pair)
+        t = with_pair(simulate(params_m2, 2, 0, 1, 2).transcript, 2, 1, pair)
         with pytest.raises(ValueError, match=r"^rounds\[1\]\.challenge\.pairs\[1\]"):
             serialize_transcript(t)
 
     def test_negative_integers_still_written(self, params_m2):
         # valid JSON; the parser, not the writer, refuses negative residues
-        t = with_value(run_protocol(params_m2, 2, 0, 1, 2), 2, 0, -1)
+        t = with_value(simulate(params_m2, 2, 0, 1, 2).transcript, 2, 0, -1)
         assert serialize_transcript(t) == reference_serialize(t)
 
 
 class TestFileShape:
     def test_header_names_generator(self, params_m2):
-        obj = json.loads(serialize_transcript(run_protocol(params_m2, 1, 0, 1, 2)))
+        t = simulate(params_m2, 1, 0, 1, 2).transcript
+        obj = json.loads(serialize_transcript(t))
         assert obj["format"] == "rbc-transcript"
         assert obj["version"] == "1"
         assert obj["generator"] == GENERATOR_ID
         assert obj["seeds"] == {"alice": 1, "bob": 2}
 
     def test_residues_are_json_integers(self, params_m2):
-        obj = json.loads(serialize_transcript(run_protocol(params_m2, 2, 1, 1, 2)))
+        t = simulate(params_m2, 2, 1, 1, 2).transcript
+        obj = json.loads(serialize_transcript(t))
         for rec in obj["rounds"]:
             assert all(isinstance(v, int) for v in rec["response"]["values"])
             for pair in rec["challenge"]["pairs"]:
                 assert isinstance(pair, list) and len(pair) == 2
 
     def test_times_are_exact_strings(self, params_m2):
-        obj = json.loads(serialize_transcript(run_protocol(params_m2, 1, 0, 1, 2)))
+        t = simulate(params_m2, 1, 0, 1, 2).transcript
+        obj = json.loads(serialize_transcript(t))
         assert obj["rounds"][0]["challenge"]["start"] == "0"
         assert obj["rounds"][0]["challenge"]["end"] == "0.01"
         assert obj["rounds"][0]["response"]["end"] == "0.015"
 
     def test_non_decimal_rational_times_round_trip(self):
         p = ProtocolParams(2, Fraction(1, 3), Fraction(1, 300), Fraction(1, 300))
-        t = run_protocol(p, 1, 0, 1, 2)
+        t = simulate(p, 1, 0, 1, 2).transcript
         obj = json.loads(serialize_transcript(t))
         assert "/" in obj["params"]["delta_x"]
         assert parse_transcript(serialize_transcript(t)) == t
@@ -318,7 +321,8 @@ class TestFileShape:
 
 class TestParseErrors:
     def good_obj(self, params_m2):
-        return json.loads(serialize_transcript(run_protocol(params_m2, 1, 0, 1, 2)))
+        t = simulate(params_m2, 1, 0, 1, 2).transcript
+        return json.loads(serialize_transcript(t))
 
     def test_rejects_non_json(self):
         with pytest.raises(TranscriptFormatError):
@@ -426,7 +430,7 @@ class TestParseErrors:
 
 # m=3, R=3: rounds[2] carries 9 pairs and 9 values, the unveil 9 keys
 PARITY_BASE = json.loads(serialize_transcript(
-    run_protocol(ProtocolParams(3, "1", "0.005", "0.01"), 3, 1, 7, 9)))
+    simulate(ProtocolParams(3, "1", "0.005", "0.01"), 3, 1, 7, 9).transcript))
 SCALAR_FAULTS = [True, -1, 1.0, "1"]
 LIST_FAULT = [1]
 NOT_RESIDUE = "residues must be non-negative integers, got {!r}"
@@ -607,7 +611,7 @@ class TestReaderCaches:
 
 
 HONEST_TEXT = serialize_transcript(
-    run_protocol(ProtocolParams(2, "1", "0.005", "0.01"), 2, 1, 7, 9))
+    simulate(ProtocolParams(2, "1", "0.005", "0.01"), 2, 1, 7, 9).transcript)
 TIME_FIELD = re.compile(r'"(?:delta_x|delta|delta_t|intra_delay|start|end|'
                         r'completes_at|time)": ("[^"]*")')
 TIME_SPANS = [m.span(1) for m in TIME_FIELD.finditer(HONEST_TEXT)]

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbc.codec import decode_one
-from rbc.netsim import RoundRecord, Transcript, aggregate_event, run_protocol
+from rbc.netsim import RoundRecord, Transcript, aggregate_event, simulate
 from rbc.cli import verdict_to_json_obj
 from rbc.spacetime import (ProtocolParams, SpacetimeEvent, exact_str,
-                           round_site, unveil_deadline)
+                           round_site, round_window, unveil_deadline)
 from rbc.verifier import (COUNT_MISMATCH, DECODE_MISMATCH,
                           DUPLICATE_PAIR_MEMBERS, INCOMPLETE_TRANSCRIPT,
                           RANGE_ERROR, SITE_MISMATCH, TIMING_VIOLATION,
@@ -24,7 +24,7 @@ from mutations import (EPS, MALFORMED_PAIR_IDS, MALFORMED_PAIRS, with_pair,
 
 @pytest.fixture
 def honest(params_m2):
-    return run_protocol(params_m2, 3, 1, 7, 9)
+    return simulate(params_m2, 3, 1, 7, 9).transcript
 
 
 # Independent reference for backward_decode's C-level kernel: one
@@ -115,7 +115,8 @@ class TestDecodeKernel:
 
     @pytest.mark.parametrize("m, rounds", [(2, 4), (3, 3), (10, 3)])
     def test_every_single_edit(self, m, rounds):
-        t = run_protocol(ProtocolParams(m, "1", "0.005", "0.01"), rounds, 1, 3, 4)
+        t = simulate(ProtocolParams(m, "1", "0.005", "0.01"), rounds, 1, 3,
+                     4).transcript
         assert backward_decode(t.rounds, t.unveils[0].revealed, m) == (1, None)
         edits = 0
         for edited in single_edits(t):
@@ -127,8 +128,8 @@ class TestDecodeKernel:
     @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 1),
            st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1), st.data())
     def test_drawn_runs_and_edits(self, m, rounds, bit, alice, bob, data):
-        t = run_protocol(ProtocolParams(m, "1", "0.005", "0.01"), rounds, bit,
-                         alice, bob)
+        t = simulate(ProtocolParams(m, "1", "0.005", "0.01"), rounds, bit,
+                     alice, bob).transcript
         assert_decodes_as_reference(t)
         k = data.draw(st.integers(1, rounds))
         j = data.draw(st.integers(0, m ** (k - 1) - 1))
@@ -141,7 +142,7 @@ class TestDecodeKernel:
     def test_list_pairs(self, params_m3, edit):
         # list pairs are outside the verifier's shape check, and decode
         # as the reference does
-        t = run_protocol(params_m3, 3, 0, 5, 6)
+        t = simulate(params_m3, 3, 0, 5, 6).transcript
         if edit is not None:
             k, j = edit
             t = with_value(t, k, j, (t.rounds[k - 1].values[j] + 1) % 8)
@@ -156,7 +157,7 @@ class TestCompleteness:
     def test_honest_transcripts_accept(self, m, rounds, bit):
         p = ProtocolParams(m, "1", "0.005", "0.01")
         for seed in (0, 1):
-            verdict = verify(run_protocol(p, rounds, bit, seed, seed + 100))
+            verdict = verify(simulate(p, rounds, bit, seed, seed + 100).transcript)
             assert verdict.outcome == "accept"
             assert verdict.bit == bit
 
@@ -208,7 +209,7 @@ class TestPairMutations:
     def test_used_member_mutation_always_rejects(self, params_m2):
         # decode looks for response - key among the members; moving the used
         # member orphans the honest response.
-        t = run_protocol(params_m2, 1, 1, 3, 4)
+        t = simulate(params_m2, 1, 1, 3, 4).transcript
         pair = t.rounds[0].pairs[0]
         assert (t.rounds[0].values[0] - t.unveils[0].revealed[0]) % 4 == pair[1]
         for candidate in range(4):
@@ -218,7 +219,7 @@ class TestPairMutations:
             assert verdict.reason == DECODE_MISMATCH
 
     def test_unused_member_mutation_keeps_bit(self, params_m2):
-        t = run_protocol(params_m2, 1, 1, 3, 4)
+        t = simulate(params_m2, 1, 1, 3, 4).transcript
         pair = t.rounds[0].pairs[0]
         for candidate in range(4):
             if candidate in (pair[0], pair[1]):
@@ -345,7 +346,8 @@ class TestSiteAndShapeMutations:
         verdict = verify(with_unveil(honest, site=round_site(3)))
         assert verdict.reason == SITE_MISMATCH
 
-    @pytest.mark.parametrize("site", [0, 3])
+    # 2.0 and True are built in memory only: the writer refuses them
+    @pytest.mark.parametrize("site", [0, 3, 2.0, True])
     def test_unveil_site_not_a_site_id(self, honest, site):
         verdict = verify(with_unveil(honest, site=site))
         assert verdict.reason == SITE_MISMATCH
@@ -398,6 +400,52 @@ class TestSiteAndShapeMutations:
         assert verdict.reason == COUNT_MISMATCH
 
 
+class TestNonIntIndices:
+    """Round and site indices built in memory as floats, None or text.
+
+    No parsed file holds them, and the writer refuses them; the verifier
+    must reject them by their shape, and must not let them into the round
+    window memo of the params, which an honest transcript shares."""
+
+    @pytest.mark.parametrize("value", [3.0, None, "3"],
+                             ids=["float", "none", "text"])
+    def test_last_round_index(self, honest, value):
+        verdict = verify(with_round(honest, 3, round=value))
+        assert verdict.reason == COUNT_MISMATCH
+        assert verdict.detail == (f"rounds not consecutive: position 2 "
+                                  f"holds round {value}, expected 3")
+        assert verify(honest).accepted
+
+    def test_float_round_leaves_the_window_memo_exact(self, honest):
+        verify(with_round(honest, 3, round=3.0))
+        assert all(type(t) is Fraction
+                   for t in round_window(honest.params, 3))
+        assert verify(honest).accepted
+
+    def test_float_round_rejected_with_a_warm_memo(self, honest):
+        assert verify(honest).accepted
+        assert verify(with_round(honest, 3, round=3.0)).reason == COUNT_MISMATCH
+
+    @pytest.mark.parametrize("k, site", [(1, 1.0), (2, 2.0)])
+    def test_record_site(self, honest, k, site):
+        verdict = verify(with_round(honest, k, site=site))
+        assert verdict.reason == SITE_MISMATCH
+        assert verdict.detail == (f"round {k} recorded at site {site}, "
+                                  f"schedule requires site {round_site(k)}")
+
+    def test_dual_unveil_float_site(self, params_m2):
+        dual = simulate(params_m2, 2, 1, 7, 9, dual_unveil=True).transcript
+        idx = [u.site for u in dual.unveils].index(2)
+        verdict = verify(with_unveil(dual, idx, site=2.0))
+        assert verdict.reason == SITE_MISMATCH
+
+    def test_unveil_round(self, honest):
+        verdict = verify(with_unveil(honest, round=3.0))
+        assert verdict.reason == COUNT_MISMATCH
+        assert verdict.detail == ("unveil targets round 3.0, "
+                                  "transcript ends at round 3")
+
+
 class TestHostileTimestamps:
     def test_negative_unveil_time_rejected_without_crash(self, honest):
         verdict = verify(with_unveil(honest, completes_at=Fraction(-1)))
@@ -416,7 +464,7 @@ class TestHostileTimestamps:
         assert verdict.reason == TIMING_VIOLATION
 
     def test_negative_dual_partner_rejected(self, params_m2):
-        dual = run_protocol(params_m2, 2, 1, 7, 9, dual_unveil=True)
+        dual = simulate(params_m2, 2, 1, 7, 9, dual_unveil=True).transcript
         verdict = verify(with_unveil(dual, idx=1, completes_at=Fraction(-1)))
         assert verdict.reason == TIMING_VIOLATION
 
@@ -432,7 +480,7 @@ class TestPrintableVerdict:
     """repr and the CLI's JSON of a verdict stay total for any issued_at."""
 
     def test_aggregation_time_past_digit_limit(self, params_m2):
-        t = run_protocol(params_m2, 2, 1, 7, 9)
+        t = simulate(params_m2, 2, 1, 7, 9).transcript
         verdict = verify(with_unveil(t, completes_at=Fraction(10 ** 5000)))
         assert verdict.reason == TIMING_VIOLATION
         assert verdict.issued_at > 10 ** 4999
@@ -488,7 +536,7 @@ class TestInvalidParams:
 class TestDualUnveil:
     @pytest.fixture
     def dual(self, params_m2):
-        return run_protocol(params_m2, 2, 1, 7, 9, dual_unveil=True)
+        return simulate(params_m2, 2, 1, 7, 9, dual_unveil=True).transcript
 
     def test_honest_dual_accepts(self, dual):
         assert len(dual.unveils) == 2
