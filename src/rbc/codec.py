@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .spacetime import check_round
+
 # The largest m: Stream draws each residue mod 2**m from one 64-bit word,
 # and a transcript file carries m in [0, MAX_M].
 MAX_M = 64
@@ -66,12 +68,11 @@ class RandomTape:
 
 
 def tape_consumed(m: int, rounds: int) -> int:
-    """Total keys used by rounds 1..R: (m**R - 1) / (m - 1), exactly."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    return (m ** rounds - 1) // (m - 1)
+    """Total keys used by rounds 1..R: (m**R - 1) / (m - 1), exactly.
+    m and R must be ints, so the count and the slices it ends are too."""
+    if type(m) is not int or m < 2:
+        raise ValueError(f"m must be an int >= 2, got {m!r}")
+    return (m ** check_round(rounds) - 1) // (m - 1)
 
 
 def first_non_residue(values: Sequence[int],
@@ -88,7 +89,6 @@ def first_non_residue(values: Sequence[int],
     for j, v in enumerate(values):
         if type(v) is not int or v < 0 or modulus is not None and v >= modulus:
             return j
-    return None
 
 
 def decode_one(response: int, pair: tuple[int, int], key: int,

@@ -13,6 +13,9 @@ Every instant is fixed in advance, so simulate walks rounds 1..R: round k's
 challenge is logged, then answered as it arrives, at the end of its window
 plus intra_delay.  The unveils share round R's answer instant; there site 1
 acts before site 2, and at one site the unveil precedes the answer.  The
+aggregation is read off the same schedule: round R's answer, relayed to
+the primary unveiler's site.  aggregate_event is the one rule over a
+transcript's completions, and the verifier recomputes it.  The
 order rests on valid geometry: delta_t + 2*delta < T puts each answer
 before the next challenge, intra_delay <= delta + delta_t puts it by its
 response deadline, and delta_t + 4*delta < delta_x puts the unveil before
@@ -203,7 +206,8 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
     Honest Bob agents always follow the schedule: round k's challenge
     transmission occupies [(k-1)T, (k-1)T + delta_t] at round_site(k), and
     Alice's reply completes the instant the challenge arrives.  The unveils
-    complete at round R's answer instant; strategies choose only data.
+    complete at round R's answer instant, and the aggregation follows it by
+    intra_delay + cross_delay; strategies choose only data.
     Params with problems() are refused: the walk's order holds only for
     valid geometry.  So is a run that would draw more than MAX_TAPE_KEYS
     tape keys.  strategy=None plays HonestAlice().
@@ -237,8 +241,6 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
 
     log: list[TimedMessage] = []
     records: list[RoundRecord] = []
-    # (tick, site) of every completed response and unveil, for aggregation
-    completions: list[tuple[int, int]] = []
     unveils: list[UnveilMessage] = []
     decisions: list[Decision] = []
     abort: Optional[str] = None
@@ -263,9 +265,9 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
 
     def decide(kind: str, site: int, now: int, k: int,
                what: str) -> tuple[Fraction, tuple[int, ...]]:
-        """Call the strategy's `kind` method on the view at (site, now),
-        record the decision and note the completion.  Malformed output and
-        a LookupError (the view lacks what the strategy needs) end the run."""
+        """Call the strategy's `kind` method on the view at (site, now) and
+        record the decision.  Malformed output and a LookupError (the view
+        lacks what the strategy needs) end the run."""
         time = at(now)
         log_size = len(log)
         try:
@@ -274,7 +276,6 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
             raise _Abort(f"{kind} at site {site}: {missing}") from None
         values = _validate_values(output, params.m ** (k - 1), params.modulus, what)
         decisions.append(Decision(kind, site, time, k, values, log_size))
-        completions.append((now, site))
         return time, values
 
     def respond(challenge: PairChallenge, now: int) -> None:
@@ -314,9 +315,10 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
         abort = str(stop)
 
     aggregation = None
-    if abort is None and unveils:
-        tick, home = _aggregation(ticks, rounds, completions)
-        aggregation = SpacetimeEvent(at(tick), home)
+    if abort is None:
+        # each site's last completion is at now, and cross_delay > 0
+        aggregation = SpacetimeEvent(
+            at(now + ticks.intra_delay + ticks.cross_delay), 3 - last_site)
     transcript = Transcript(params=params,
                             rounds=tuple(records),
                             unveils=tuple(unveils), aggregation=aggregation,
@@ -359,27 +361,20 @@ def aggregate_event(transcript: Transcript) -> SpacetimeEvent:
     record becomes available to the local Bob one intra_delay after its
     completion, then crosses in exactly delta_x - 2*delta if it was made at
     the other site.  Verdicts may only be issued at or after this event.
+    It is the verifier's rule, in exact Fractions; simulate reads the same
+    event off its schedule.  Adding the delays keeps the order of times, so
+    only the latest completion at the aggregation site and the latest one
+    elsewhere count.
     """
     if not transcript.unveils:
         raise ValueError("aggregation requires an unveiling")
-    completions = [(rec.response_end, rec.site) for rec in transcript.rounds]
-    completions.extend((u.completes_at, u.site) for u in transcript.unveils)
-    time, home = _aggregation(transcript.params, transcript.last_round,
-                              completions)
-    return SpacetimeEvent(time, home)
-
-
-def _aggregation(params: ProtocolParams, last_round: int,
-                 completions: Sequence[tuple]) -> tuple:
-    """(time, site) of aggregate_event, from (time, site) completions in the
-    units of params: seconds, or ticks of its clock.
-
-    Adding the delays keeps the order of times, so only the latest
-    completion at the aggregation site and the latest one elsewhere count.
-    """
-    home = 3 - round_site(last_round)
+    params = transcript.params
+    home = 3 - round_site(transcript.last_round)
+    # (time, site) of every response and unveil
+    steps = [(rec.response_end, rec.site) for rec in transcript.rounds]
+    steps.extend((u.completes_at, u.site) for u in transcript.unveils)
     here = away = None
-    for time, site in completions:
+    for time, site in steps:
         if site == home:
             if here is None or time > here:
                 here = time
@@ -390,4 +385,4 @@ def _aggregation(params: ProtocolParams, last_round: int,
         moments.append(here + params.intra_delay)
     if away is not None:
         moments.append(away + params.intra_delay + params.cross_delay)
-    return max(moments), home
+    return SpacetimeEvent(max(moments), home)

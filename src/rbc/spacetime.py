@@ -241,9 +241,11 @@ class Clock:
         return value
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class SpacetimeEvent:
-    """A timed occurrence at one of the two sites, in the agreed frame."""
+    """A timed occurrence at one of the two sites, in the agreed frame: an
+    exact time >= 0 at a site that is exactly the int 1 or 2, never 2.0 or
+    True, so a transcript file can hold every event."""
 
     time: Fraction
     site: int
@@ -253,15 +255,21 @@ class SpacetimeEvent:
         # a Fraction's denominator is positive: its sign is its numerator's
         if self.time.numerator < 0:
             raise ValueError("event time must be >= 0")
-        if self.site not in (1, 2):
+        if type(self.site) is not int or self.site not in (1, 2):
             raise ValueError("site must be 1 or 2")
+
+
+def check_round(k: int) -> int:
+    """k, refused with ValueError unless it is an int >= 1: a float k would
+    turn the exact-time formulas' results into floats."""
+    if type(k) is not int or k < 1:
+        raise ValueError(f"round index must be an int >= 1, got {k!r}")
+    return k
 
 
 def round_site(k: int) -> int:
     """Site hosting round k: odd rounds at site 1, even at site 2."""
-    if type(k) is not int or k < 1:
-        raise ValueError(f"round index must be an int >= 1, got {k!r}")
-    return 1 if k % 2 == 1 else 2
+    return 1 if check_round(k) % 2 == 1 else 2
 
 
 def round_window(params: ProtocolParams, k: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -276,9 +284,7 @@ def round_window(params: ProtocolParams, k: int) -> tuple[Fraction, Fraction, Fr
     windows = params._windows
     window = windows.get(k)
     if window is None:
-        if type(k) is not int or k < 1:
-            raise ValueError(f"round index must be an int >= 1, got {k!r}")
-        start = (k - 1) * params.period
+        start = (check_round(k) - 1) * params.period
         window = windows[k] = (start, start + params.delta_t,
                                start + params.delta + 2 * params.delta_t)
     return window
@@ -291,9 +297,7 @@ def unveil_deadline(params: ProtocolParams, last_round: int) -> Fraction:
     transmission completes strictly before (R-1)*T + (delta_x - 2*delta),
     the earliest instant round-R challenge information could reach that site.
     """
-    if last_round < 1:
-        raise ValueError("round index starts at 1")
-    return (last_round - 1) * params.period + params.cross_delay
+    return (check_round(last_round) - 1) * params.period + params.cross_delay
 
 
 def spacelike(e1: SpacetimeEvent, e2: SpacetimeEvent, params: ProtocolParams) -> bool:

@@ -11,14 +11,15 @@ JSON object, without the pure-Python encoder that indent selects: one
 encoder builds every line by hand, with str.join and f-strings at the
 fixed indent of each nesting level.  Integers are written with str(),
 which is what json.dumps writes for an int; anything else in an integer
-field (a residue, k, site, params.m, a seed) such as a bool, None or a
-float raises ValueError naming the field, found by one C-level type pass
-over each list.  A seed may also be None, written null.  The header's
-integers are held to the reader's own bounds: a seed in [0, 2**64) and m
-in [0, MAX_M], or ValueError names seeds.alice, seeds.bob or params.m.
-Residues are not: a negative residue is written, and the reader refuses
-it.  Times are
-exact_str text, which needs no escaping.  The abort must be None or a
+field (a residue, k, a round's or an unveil's site, params.m, a seed) such
+as a bool, None or a float raises ValueError naming the field, found by
+one C-level type pass over each list.  The aggregation's site needs no
+guard: SpacetimeEvent holds only the int 1 or 2.  A seed may also be
+None, written null.  The header's integers are held to the reader's own
+bounds: a seed in [0, 2**64) and m in [0, MAX_M], or ValueError names
+seeds.alice, seeds.bob or params.m.  Residues are not: a negative residue
+is written, and the reader refuses it.  Times are exact_str text, which
+needs no escaping.  The abort must be None or a
 string, and json.dumps escapes it, the writer's only use of json; the
 tests keep the plain json.dumps writer as the reference.  Every time is
 written through one helper that raises ValueError, naming the field, for
@@ -272,7 +273,7 @@ def serialize_transcript(t: Transcript) -> str:
     aggregation = "null"
     if t.aggregation is not None:
         time = _time_text(t.aggregation.time, "aggregation.time")
-        site = _int_text(t.aggregation.site, "aggregation.site")
+        site = str(t.aggregation.site)
         aggregation = f'{{\n    "time": "{time}",\n    "site": {site}\n  }}'
     if t.abort is not None and not isinstance(t.abort, str):
         raise ValueError(f"abort: expected a string or None, got {t.abort!r}")

@@ -41,6 +41,15 @@ class TestRoundTraffic:
     def test_third_round_m10(self):
         assert round_traffic_bits(10, 3) == 3000
 
+    @pytest.mark.parametrize("m, k, message", [
+        (1, 1, "m must be an int >= 2"), (2.0, 1, "m must be an int >= 2"),
+        (2, 0, "round index must be an int >= 1"),
+        (2, 2.0, "round index must be an int >= 1")])
+    def test_refuses_a_bad_m_or_round(self, m, k, message):
+        # a float round would give a float count, 12.0 for (2, 2.0)
+        with pytest.raises(ValueError, match=message):
+            round_traffic_bits(m, k)
+
     @given(st.integers(2, 12), st.integers(1, 10))
     def test_geometric_ratio(self, m, k):
         assert round_traffic_bits(m, k + 1) == m * round_traffic_bits(m, k)

@@ -133,6 +133,20 @@ class TestSegmentBounds:
         tape = RandomTape(tuple(range(111)))
         assert tape.segment(3, 10) == tuple(range(11, 111))
 
+    @pytest.mark.parametrize("m, k, message", [
+        (1, 1, "m must be an int >= 2"), (2.0, 1, "m must be an int >= 2"),
+        (True, 1, "m must be an int >= 2"),
+        (2, 0, "round index must be an int >= 1"),
+        (2, 2.0, "round index must be an int >= 1"),
+        (2, True, "round index must be an int >= 1")])
+    def test_refuses_a_bad_m_or_round(self, m, k, message):
+        # a float round would give a float count, 3.0 for (2, 2.0), and a
+        # slicing TypeError in segment
+        with pytest.raises(ValueError, match=message):
+            tape_consumed(m, k)
+        with pytest.raises(ValueError, match=message):
+            RandomTape(tuple(range(7))).segment(k, m)
+
     @given(st.integers(2, 10), st.integers(1, 12))
     def test_segments_tile_the_tape(self, m, k):
         assert tape_consumed(m, k + 1) == tape_consumed(m, k) + m ** k

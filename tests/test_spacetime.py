@@ -49,6 +49,14 @@ class TestParams:
         p = ProtocolParams(2, "1", "0.005", "0.01")
         assert p.intra_delay == Fraction("0.005")
 
+    def test_overlapping_windows_named(self):
+        # reachable only when the 10x bound on delta fails as well
+        p = ProtocolParams.unchecked(2, Fraction(1), Fraction(1, 5),
+                                     Fraction(1, 20), Fraction(1, 5))
+        assert p.problems() == [
+            "site separation must dominate placement: 10*delta < delta_x",
+            "round windows overlap: need delta + 2*delta_t < T"]
+
     def test_float_inputs_are_exact(self):
         p = ProtocolParams(2, 0.1, 1e-5, 1e-4)
         assert p.delta_x == Fraction(1, 10)
@@ -192,6 +200,12 @@ class TestUnveilDeadline:
 
     def test_second_round(self, params_m2):
         assert unveil_deadline(params_m2, 2) == Fraction("1.955")
+
+    @pytest.mark.parametrize("k", [0, -1, 3.0, 2.5, True, None])
+    def test_refuses_a_bad_index(self, params_m2, k):
+        # a float index would give a float deadline, 2.92 for 3.0
+        with pytest.raises(ValueError, match="round index must be an int >= 1"):
+            unveil_deadline(params_m2, k)
 
     @given(valid_params())
     def test_response_end_precedes_deadline(self, p):

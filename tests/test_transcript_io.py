@@ -201,6 +201,15 @@ class TestByteIdentity:
         with pytest.raises(ValueError, match=r"^rounds\[1\]\.challenge\.start: "):
             serialize_transcript(t)
 
+    def test_time_past_the_digit_limit_raises(self, params_m2):
+        # 10**5000 has more digits than CPython converts to text by default,
+        # so exact_str raises before the 256-character cap is compared
+        t = simulate(params_m2, 2, 1, 7, 9).transcript
+        t = with_unveil(t, completes_at=Fraction(10 ** 5000))
+        with pytest.raises(ValueError, match=r"^unveils\[0\]\.completes_at: "
+                           r"time is longer than 256 characters"):
+            serialize_transcript(t)
+
 
 def with_m(t: Transcript, m) -> Transcript:
     p = t.params
@@ -227,9 +236,6 @@ NON_JSON_INTEGERS = [
     (lambda t: dataclasses.replace(t, bob_seed=1.5),
      r"seeds\.bob: expected an integer, got 1\.5"),
     (lambda t: with_m(t, True), r"params\.m: expected an integer, got True"),
-    (lambda t: dataclasses.replace(
-        t, aggregation=SpacetimeEvent(t.aggregation.time, True)),
-     r"aggregation\.site: expected an integer, got True"),
     (lambda t: dataclasses.replace(t, abort=5),
      r"abort: expected a string or None, got 5"),
 ]
@@ -264,6 +270,16 @@ class TestWriterRefusesNonJson:
         # the plain json.dumps writer emits a file the reader refuses
         with pytest.raises(TranscriptFormatError):
             parse_transcript(reference_serialize(t))
+
+    @pytest.mark.parametrize("rounds, site", [
+        (3, 2.0), (2, 1.0), (2, True), (3, Fraction(2))])
+    def test_aggregation_site_must_be_an_exact_int(self, params_m2, rounds, site):
+        # a site equal to the aggregation's own, such as 2.0 or True, cannot
+        # be built, so verify never accepts an aggregation the writer refuses
+        t = simulate(params_m2, rounds, 0, 1, 2).transcript
+        assert t.aggregation.site == site
+        with pytest.raises(ValueError, match="^site must be 1 or 2$"):
+            SpacetimeEvent(t.aggregation.time, site)
 
     @pytest.mark.parametrize("mutate, message", HEADER_OUT_OF_RANGE,
                              ids=HEADER_OUT_OF_RANGE_IDS)
