@@ -32,7 +32,7 @@ from .netsim import simulate
 from .spacetime import (GeometryError, ProtocolParams, exact_str, printable,
                         shown_time)
 from .transcript_io import (TranscriptFormatError, parse_transcript,
-                            serialize_transcript)
+                            transcript_pieces)
 from .verifier import Verdict, verify
 
 EXIT_OK = 0
@@ -123,13 +123,17 @@ def _cmd_run(args) -> int:
     params = _params(args)
     result = simulate(params, args.rounds, args.bit, args.alice_seed,
                       args.bob_seed, dual_unveil=args.dual_unveil)
-    text = serialize_transcript(result.transcript)
+    # every field is checked here, so a refused transcript writes nothing
+    pieces = transcript_pieces(result.transcript)
     if args.out == "-":
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
     else:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            # newline="\n" writes the file's own bytes on every platform
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                for piece in pieces:
+                    fh.write(piece)
         except OSError as exc:
             print(f"cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -26,6 +26,21 @@ written through one helper that raises ValueError, naming the field, for
 a time longer than the parser accepts.  So the writer never emits a file
 that the parser refuses for a type, a time or a header range.
 
+The writer works in two steps.  The check step makes every check above,
+in file order (the header, each round, the unveils, the aggregation, the
+abort; within a round its three times before its two lists), before any
+list is formatted, and returns the small field texts with the long lists
+left in place.  The emit step is a generator that yields the file in
+order: the text between the lists as it is, and each pair or residue list
+as one piece per slice of at most 4,096 entries.  It raises no ValueError
+for any transcript the check step passed, except CPython's own limit of
+4,300 digits on str() of an int, which no residue below 2**64 nears.
+transcript_pieces runs the check step and returns the emit step, so
+`rbc run` writes the pieces straight to its file and leaves no file when a
+field is refused; serialize_transcript joins them once.  Its peak is then
+the pieces plus their join, 2.0 times the text at m=10, R=6, and
+`rbc run` never holds the whole text.
+
 The header names the seed-expansion generator, making files
 self-describing, and records the run seeds when known; a file naming any
 other generator is refused.  Parsing validates structure and types only;
@@ -67,7 +82,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 from .agents import UnveilMessage
 from .codec import MAX_M, first_non_residue
@@ -99,6 +114,9 @@ _INT, _LIST, _TUPLE = frozenset({int}), frozenset({list}), frozenset({tuple})
 _TWO = frozenset({2})
 # indents of the nesting levels the writer builds by hand
 _PAD6, _PAD8 = " " * 6, " " * 8
+# entries in one piece of a long list the writer emits: about 230 KB of
+# pairs or 60 KB of residues at m=10
+_SLICE = 4096
 
 
 @lru_cache(maxsize=1024)
@@ -200,62 +218,88 @@ def _seed_text(value, what: str) -> str:
     return text
 
 
-def _int_texts(values, what: str):
-    """_int_text of each entry; one C-level pass types the whole list, and
-    only when it fails is the list walked to name the first bad entry."""
+def _check_ints(values, what: str) -> None:
+    """_int_text's ValueError for the first entry that is not an int; one
+    C-level pass types the whole list, and only when it fails is the list
+    walked to name the entry."""
     if not {*map(type, values)} <= _INT:
         for j, v in enumerate(values):
             _int_text(v, f"{what}[{j}]")
+
+
+def _check_pairs(pairs, what: str) -> None:
+    """Each pair an (n0, n1) tuple of ints; C-level passes check the whole
+    list, and only when they fail is it walked to name the first bad pair."""
+    if not ({*map(type, pairs)} <= _TUPLE and {*map(len, pairs)} <= _TWO
+            and {*map(type, chain.from_iterable(pairs))} <= _INT):
+        for j, p in enumerate(pairs):
+            field = f"{what}[{j}]"
+            if type(p) is not tuple or len(p) != 2:
+                raise ValueError(f"{field}: expected a pair (n0, n1), got {p!r}")
+            _check_ints(p, field)
+
+
+def _pair_texts(pairs) -> list[str]:
+    # the pair members' indents (12 and 10 spaces) are spelled out: pairs
+    # are most of a large file, and literal text formats fastest
+    return [f"[\n            {n0},\n            {n1}\n          ]"
+            for n0, n1 in pairs]
+
+
+def _int_texts(values) -> Iterator[str]:
     return map(str, values)
 
 
-def _array(texts: Iterable[str], pad: str) -> str:
-    """A JSON array as json.dumps(indent=2) writes it, one entry a line;
-    pad is the indent of the closing bracket."""
-    body = f",\n{pad}  ".join(texts)
-    return f"[\n{pad}  {body}\n{pad}]" if body else "[]"
+def _objects(items: list[list], pad: str) -> list:
+    """The parts of a JSON array of objects, each given as its own parts,
+    as json.dumps(indent=2) writes it; pad is the closing bracket's indent."""
+    if not items:
+        return ["[]"]
+    parts = [f"[\n{pad}  "]
+    for j, item in enumerate(items):
+        if j:
+            parts.append(f",\n{pad}  ")
+        parts += item
+    parts.append(f"\n{pad}]")
+    return parts
 
 
-def _round_text(i: int, rec: RoundRecord) -> str:
+def _round_parts(i: int, rec: RoundRecord) -> list:
     what = f"rounds[{i}]"
     k = _int_text(rec.round, what + ".k")
     site = _int_text(rec.site, what + ".site")
     start = _time_text(rec.challenge_start, what + ".challenge.start")
     end = _time_text(rec.challenge_end, what + ".challenge.end")
     response_end = _time_text(rec.response_end, what + ".response.end")
-    if not ({*map(type, rec.pairs)} <= _TUPLE and {*map(len, rec.pairs)} <= _TWO
-            and {*map(type, chain.from_iterable(rec.pairs))} <= _INT):
-        for j, p in enumerate(rec.pairs):
-            field = f"{what}.challenge.pairs[{j}]"
-            if type(p) is not tuple or len(p) != 2:
-                raise ValueError(f"{field}: expected a pair (n0, n1), got {p!r}")
-            _int_texts(p, field)
-    # the pair members' indents (12 and 10 spaces) are spelled out: pairs
-    # are most of a large file, and literal text formats fastest
-    pairs = _array([f"[\n            {n0},\n            {n1}\n          ]"
-                    for n0, n1 in rec.pairs], _PAD8)
-    values = _array(_int_texts(rec.values, what + ".response.values"), _PAD8)
-    return (f'{{\n      "k": {k},\n      "site": {site},\n'
+    _check_pairs(rec.pairs, what + ".challenge.pairs")
+    _check_ints(rec.values, what + ".response.values")
+    return [f'{{\n      "k": {k},\n      "site": {site},\n'
             f'      "challenge": {{\n        "start": "{start}",\n'
-            f'        "end": "{end}",\n        "pairs": {pairs}\n      }},\n'
-            f'      "response": {{\n        "end": "{response_end}",\n'
-            f'        "values": {values}\n      }}\n    }}')
+            f'        "end": "{end}",\n        "pairs": ',
+            (_pair_texts, rec.pairs, _PAD8),
+            f'\n      }},\n      "response": {{\n        "end": "{response_end}",\n'
+            f'        "values": ',
+            (_int_texts, rec.values, _PAD8),
+            "\n      }\n    }"]
 
 
-def _unveil_text(i: int, u: UnveilMessage) -> str:
+def _unveil_parts(i: int, u: UnveilMessage) -> list:
     what = f"unveils[{i}]"
     k = _int_text(u.round, what + ".round")
     site = _int_text(u.site, what + ".site")
     completes_at = _time_text(u.completes_at, what + ".completes_at")
-    revealed = _array(_int_texts(u.revealed, what + ".revealed"), _PAD6)
-    return (f'{{\n      "round": {k},\n      "site": {site},\n'
-            f'      "completes_at": "{completes_at}",\n'
-            f'      "revealed": {revealed}\n    }}')
+    _check_ints(u.revealed, what + ".revealed")
+    return [f'{{\n      "round": {k},\n      "site": {site},\n'
+            f'      "completes_at": "{completes_at}",\n      "revealed": ',
+            (_int_texts, u.revealed, _PAD6),
+            "\n    }"]
 
 
-def serialize_transcript(t: Transcript) -> str:
-    """The transcript's file text, byte for byte json.dumps(obj, indent=2)
-    plus a newline; ValueError names a field the reader would refuse."""
+def _checked_parts(t: Transcript) -> list:
+    """The check step: every check the writer makes, before any list is
+    formatted.  The file as its parts in order: the text between the long
+    lists, and each pair or residue list as (format, entries, pad) for
+    _emit."""
     p = t.params
     alice = _seed_text(t.alice_seed, "seeds.alice")
     bob = _seed_text(t.bob_seed, "seeds.bob")
@@ -268,8 +312,8 @@ def serialize_transcript(t: Transcript) -> str:
     delta = _time_text(p.delta, "params.delta")
     delta_t = _time_text(p.delta_t, "params.delta_t")
     intra_delay = _time_text(p.intra_delay, "params.intra_delay")
-    rounds = _array([_round_text(i, rec) for i, rec in enumerate(t.rounds)], "  ")
-    unveils = _array([_unveil_text(i, u) for i, u in enumerate(t.unveils)], "  ")
+    rounds = _objects([_round_parts(i, rec) for i, rec in enumerate(t.rounds)], "  ")
+    unveils = _objects([_unveil_parts(i, u) for i, u in enumerate(t.unveils)], "  ")
     aggregation = "null"
     if t.aggregation is not None:
         time = _time_text(t.aggregation.time, "aggregation.time")
@@ -277,14 +321,50 @@ def serialize_transcript(t: Transcript) -> str:
         aggregation = f'{{\n    "time": "{time}",\n    "site": {site}\n  }}'
     if t.abort is not None and not isinstance(t.abort, str):
         raise ValueError(f"abort: expected a string or None, got {t.abort!r}")
-    return (f'{{\n  "format": "{FORMAT_NAME}",\n  "version": "{FORMAT_VERSION}",\n'
+    return [f'{{\n  "format": "{FORMAT_NAME}",\n  "version": "{FORMAT_VERSION}",\n'
             f'  "generator": "{GENERATOR_ID}",\n'
             f'  "seeds": {{\n    "alice": {alice},\n    "bob": {bob}\n  }},\n'
             f'  "params": {{\n    "m": {m},\n    "modulus": {modulus},\n'
             f'    "delta_x": "{delta_x}",\n    "delta": "{delta}",\n'
             f'    "delta_t": "{delta_t}",\n    "intra_delay": "{intra_delay}"\n  }},\n'
-            f'  "rounds": {rounds},\n  "unveils": {unveils},\n'
-            f'  "aggregation": {aggregation},\n  "abort": {json.dumps(t.abort)}\n}}\n')
+            f'  "rounds": ',
+            *rounds, ',\n  "unveils": ', *unveils,
+            f',\n  "aggregation": {aggregation},\n  "abort": {json.dumps(t.abort)}\n}}\n']
+
+
+def _emit(parts: list) -> Iterator[str]:
+    """The emit step: each text part as it is, and each long list as one
+    piece per slice of at most _SLICE entries, between its brackets."""
+    for part in parts:
+        if type(part) is str:
+            yield part
+            continue
+        texts, entries, pad = part
+        if not entries:
+            yield "[]"
+            continue
+        sep = f",\n{pad}  "
+        yield f"[\n{pad}  "
+        for s in range(0, len(entries), _SLICE):
+            if s:
+                yield sep
+            yield sep.join(texts(entries[s:s + _SLICE]))
+        yield f"\n{pad}]"
+
+
+def transcript_pieces(t: Transcript) -> Iterator[str]:
+    """The transcript's file text as pieces that join to
+    serialize_transcript(t).  Every field is checked before this returns,
+    so a ValueError naming a field the reader would refuse is raised here,
+    before any piece exists, and `rbc run` can write the pieces as they
+    come without ever leaving a refused file."""
+    return _emit(_checked_parts(t))
+
+
+def serialize_transcript(t: Transcript) -> str:
+    """The transcript's file text, byte for byte json.dumps(obj, indent=2)
+    plus a newline; ValueError names a field the reader would refuse."""
+    return "".join(transcript_pieces(t))
 
 
 def parse_transcript(text: str) -> Transcript:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import os
@@ -88,6 +89,25 @@ class TestRun:
         code, _, err = run_cli(RUN_BASE + ["--out", str(out), "--dx", dx], capsys)
         assert code == 1
         assert "rounds[1].challenge.start" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["file", "stdout"])
+    def test_refused_transcript_writes_nothing(self, tmp_path, capsys,
+                                               monkeypatch, target):
+        # abort is the last field the writer checks, so a writer that wrote
+        # while it checked would leave all the file before it behind
+        def refused_simulate(*args, **kwargs):
+            result = simulate(*args, **kwargs)
+            return dataclasses.replace(result, transcript=dataclasses.replace(
+                result.transcript, abort=5))
+
+        monkeypatch.setattr("rbc.cli.simulate", refused_simulate)
+        out = tmp_path / "t.json"
+        code, stdout, err = run_cli(
+            RUN_BASE + ["--out", str(out) if target == "file" else "-"], capsys)
+        assert code == 1
+        assert err == "error: abort: expected a string or None, got 5\n"
+        assert stdout == ""
         assert not out.exists()
 
     def test_abort_exits_two_and_records_reason(self, tmp_path, capsys,

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import _pyio
 import dataclasses
 import hashlib
+import itertools
 import json
+import os
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rbc.cli
 from rbc.agents import UnveilMessage
 from rbc.cli import main, verdict_to_json_obj
 from rbc.netsim import RoundRecord, Transcript, simulate
@@ -17,7 +22,8 @@ from rbc.rng import GENERATOR_ID
 from rbc.spacetime import (ProtocolParams, SpacetimeEvent, exact_str,
                            round_window, unveil_deadline)
 from rbc.transcript_io import (TranscriptFormatError, _parse_time,
-                               parse_transcript, serialize_transcript)
+                               parse_transcript, serialize_transcript,
+                               transcript_pieces)
 from rbc.verifier import Verdict, verify
 
 from conftest import ShortAnswer, valid_params
@@ -153,16 +159,28 @@ EMPTY_PARTS = Transcript(
     alice_seed=None, bob_seed=None)
 
 
+M3R3_RUN = ["run", "--m", "3", "--rounds", "3", "--bit", "1",
+            "--alice-seed", "1998", "--bob-seed", "9810068"]
+M3R3_SHA256 = "4a4022569061db5f7eadcac6aa765c85e462c8b1f51811be26613dcf9262106e"
+
+
 class TestByteIdentity:
     """serialize_transcript against reference_serialize, the plain writer."""
 
     def test_cli_run_bytes_pinned(self, tmp_path):
         out = tmp_path / "t.json"
-        assert main(["run", "--m", "3", "--rounds", "3", "--bit", "1",
-                     "--alice-seed", "1998", "--bob-seed", "9810068",
-                     "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "4a4022569061db5f7eadcac6aa765c85e462c8b1f51811be26613dcf9262106e")
+        assert main(M3R3_RUN + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == M3R3_SHA256
+
+    def test_cli_run_bytes_pinned_on_a_crlf_host(self, tmp_path, monkeypatch):
+        # a text-mode file writes each "\n" as os.linesep unless opened with
+        # newline="\n"; _pyio.open reads os.linesep when it opens the file,
+        # so this plays a Windows host
+        monkeypatch.setattr(os, "linesep", "\r\n")
+        monkeypatch.setattr(rbc.cli, "open", _pyio.open, raising=False)
+        out = tmp_path / "t.json"
+        assert main(M3R3_RUN + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == M3R3_SHA256
 
     def test_cli_run_bytes_pinned_past_one_lane_block(self, tmp_path):
         # 111,111 tape words and 222,222 challenge words: many full blocks
@@ -192,6 +210,18 @@ class TestByteIdentity:
     def test_in_memory_transcripts_match_reference(self, t):
         assert serialize_transcript(t) == reference_serialize(t)
 
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+    def test_long_lists_match_reference_at_piece_boundaries(self, n):
+        # the writer emits a long list one piece per 4,096 entries
+        rec = RoundRecord(1, 1, Fraction(0), Fraction(1, 100),
+                          tuple((j, n + j) for j in range(n)), Fraction(7),
+                          tuple(range(n)))
+        t = dataclasses.replace(EMPTY_PARTS, rounds=(rec, rec), unveils=(
+            UnveilMessage(1, tuple(range(4097)), 2, Fraction(1, 3)),))
+        assert serialize_transcript(t) == reference_serialize(t)
+        assert max(piece.count("\n          ]")
+                   for piece in transcript_pieces(t)) == min(n, 4096)
+
     def test_time_over_the_file_cap_raises(self):
         # round 2's start derives from two ~120-digit params and has over
         # 256 characters, which the parser refuses
@@ -209,6 +239,26 @@ class TestByteIdentity:
         with pytest.raises(ValueError, match=r"^unveils\[0\]\.completes_at: "
                            r"time is longer than 256 characters"):
             serialize_transcript(t)
+
+
+@pytest.fixture(scope="module")
+def transcript_m10r6() -> Transcript:
+    params = ProtocolParams(10, "1", "0.005", "0.01")
+    return simulate(params, 6, 1, 1998, 9810068).transcript
+
+
+class TestWriterMemory:
+    def test_serialize_peak_at_most_2_2_times_the_text(self, transcript_m10r6):
+        # the pieces and their join, each about the size of the text; the
+        # writer holds no other copy of it
+        tracemalloc.start()
+        try:
+            text = serialize_transcript(transcript_m10r6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 9_376_733
+        assert peak <= 2.2 * len(text)
 
 
 def with_m(t: Transcript, m) -> Transcript:
@@ -257,6 +307,18 @@ HEADER_OUT_OF_RANGE = [
 HEADER_OUT_OF_RANGE_IDS = ["alice_-1", "alice_2**64", "bob_2**64", "m_65"]
 
 
+# one refused field in each part of the file, in file order
+FAULTS_IN_FILE_ORDER = [
+    (lambda t: dataclasses.replace(t, alice_seed=True), r"seeds\.alice: "),
+    (lambda t: with_round(t, 2, site=None), r"rounds\[1\]\.site: "),
+    (lambda t: with_unveil(t, round=None), r"unveils\[0\]\.round: "),
+    (lambda t: dataclasses.replace(t, aggregation=SpacetimeEvent(
+        Fraction(1, 3 ** 600), 2)), r"aggregation\.time: "),
+    (lambda t: dataclasses.replace(t, abort=5), r"abort: "),
+]
+FAULT_IDS = ["header", "round", "unveil", "aggregation", "abort"]
+
+
 class TestWriterRefusesNonJson:
     """str() of a bool, None or float in an integer field is not JSON, so
     the writer raises ValueError naming the field instead of writing it;
@@ -270,6 +332,17 @@ class TestWriterRefusesNonJson:
         # the plain json.dumps writer emits a file the reader refuses
         with pytest.raises(TranscriptFormatError):
             parse_transcript(reference_serialize(t))
+
+    @pytest.mark.parametrize("earlier, later", [
+        *itertools.combinations(range(len(FAULTS_IN_FILE_ORDER)), 2)],
+        ids=[f"{FAULT_IDS[i]}-{FAULT_IDS[j]}" for i, j in
+             itertools.combinations(range(len(FAULTS_IN_FILE_ORDER)), 2)])
+    def test_first_fault_in_file_order_named(self, params_m2, earlier, later):
+        t = simulate(params_m2, 2, 0, 1, 2).transcript
+        for mutate, _ in (FAULTS_IN_FILE_ORDER[later], FAULTS_IN_FILE_ORDER[earlier]):
+            t = mutate(t)
+        with pytest.raises(ValueError, match="^" + FAULTS_IN_FILE_ORDER[earlier][1]):
+            serialize_transcript(t)
 
     @pytest.mark.parametrize("rounds, site", [
         (3, 2.0), (2, 1.0), (2, True), (3, Fraction(2))])
