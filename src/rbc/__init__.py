@@ -18,7 +18,7 @@ from .codec import (PairChallenge, RandomTape, binary_forms, commit_round,
                     decode_one, tape_consumed)
 from .netsim import (CausalView, HonestAlice, RoundRecord, SimResult,
                      TimedMessage, Transcript, aggregate_event, causal_view,
-                     replay_decisions, simulate)
+                     simulate)
 from .rng import GENERATOR_ID, Stream, derive_seed
 from .spacetime import (GeometryError, ProtocolParams, SpacetimeEvent,
                         as_exact, exact_str, round_site, round_window,

@@ -235,6 +235,9 @@ def run_attack(params: ProtocolParams, rounds: int, strategy_name: str,
     honest-relabel.  Each trial derives its own seeds, so trials are
     independent and the whole run is reproducible from one seed.
     """
+    for name, value in (("trials", trials), ("seed", seed)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if strategy_name not in ATTACKS:
@@ -253,10 +256,12 @@ def run_attack(params: ProtocolParams, rounds: int, strategy_name: str,
         if verdict.accepted and verdict.bit == target:
             successes += 1
 
-    oracle: Optional[Fraction] = None
-    if relabel:
-        oracle = Fraction(1)
-    elif _oracle_bits(params.m, rounds) <= _ORACLE_MAX_BITS:
-        oracle = optimal_flip_success(params.m, rounds)
+    # honest-relabel always wins; a flip oracle too large to compute is left out
+    oracle: Optional[Fraction] = Fraction(1)
+    if not relabel:
+        try:
+            oracle = optimal_flip_success(params.m, rounds)
+        except OracleBudgetError:
+            oracle = None
     return AttackOutcome(strategy=strategy_name, m=params.m, rounds=rounds,
                          trials=trials, successes=successes, oracle_rate=oracle)

@@ -106,9 +106,7 @@ def _cyclic_gc_paused():
     """Pause the cyclic garbage collector, and restore its earlier state
     on every exit.  On a large transcript run and verify build about 10**6
     tuples and lists, none in a cycle, which the collector would otherwise
-    walk again and again.  The pause holds back little: gc.collect() after
-    an m=10, R=6 run or verify finds under 300 objects, all of them
-    argparse's parser, which is built before the pause."""
+    walk again and again."""
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -120,14 +120,6 @@ class AlicePrivate:
     cheat_seed: int
 
 
-def _alice_private(params: ProtocolParams, rounds: int, bit: int,
-                   alice_seed: int) -> AlicePrivate:
-    """Alice's secrets for one run, all derived from her seed."""
-    state = AliceState(bit, make_tape(params.m, rounds, alice_seed), rounds)
-    return AlicePrivate(params=params, state=state,
-                        cheat_seed=derive_seed(alice_seed, "alice", "cheat"))
-
-
 class HonestAlice:
     """Protocol-following strategy: honest responses, true keys at unveil.
     Valid geometry puts round k's challenge in the view that answers it;
@@ -177,12 +169,12 @@ class Decision:
 
 @dataclass(frozen=True)
 class SimResult:
+    """What simulate returns: the transcript, every logged message and
+    every strategy call."""
+
     transcript: Transcript
     messages: tuple[TimedMessage, ...]
     decisions: tuple[Decision, ...]
-    strategy: object
-    bit: int
-    planned_rounds: int
 
 
 class _Abort(Exception):
@@ -226,14 +218,17 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
             or tape_consumed(params.m, rounds) > MAX_TAPE_KEYS):
         raise ValueError(f"rounds={rounds} at m={params.m} draws more than "
                          f"{MAX_TAPE_KEYS} tape keys, the most a run draws")
-    if bit not in (0, 1):
+    if type(bit) is not int or bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     for name, seed in (("alice_seed", alice_seed), ("bob_seed", bob_seed)):
-        if not 0 <= seed < 1 << 64:
-            raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
+        if type(seed) is not int or not 0 <= seed < 1 << 64:
+            raise ValueError(f"{name} must be an int in [0, 2**64), "
+                             f"got {seed!r}")
     strategy = HonestAlice() if strategy is None else strategy
 
-    priv = _alice_private(params, rounds, bit, alice_seed)
+    # Alice's secrets for the run, all derived from her seed
+    state = AliceState(bit, make_tape(params.m, rounds, alice_seed), rounds)
+    priv = AlicePrivate(params, state, derive_seed(alice_seed, "alice", "cheat"))
     # The walk keeps time in integer ticks; at() gives the Fraction of each
     # time that leaves it.
     clock = params.clock
@@ -324,34 +319,7 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
                             unveils=tuple(unveils), aggregation=aggregation,
                             abort=abort, alice_seed=alice_seed, bob_seed=bob_seed)
     return SimResult(transcript=transcript, messages=tuple(log),
-                     decisions=tuple(decisions), strategy=strategy,
-                     bit=bit, planned_rounds=rounds)
-
-
-def replay_decisions(result: SimResult) -> None:
-    """Re-derive every recorded decision from its causal view alone.
-
-    Rebuilds each view from the message-log prefix that existed at decision
-    time, checks it satisfies the causal predicate, then re-invokes the
-    run's strategy method named by the decision's kind, with Alice's
-    private inputs rebuilt from her seed, and requires identical output.
-    Raises AssertionError on any divergence; this is the executable form of
-    the no-superluminal-information claim.
-    """
-    t = result.transcript
-    strategy = result.strategy
-    priv = _alice_private(t.params, result.planned_rounds, result.bit,
-                          t.alice_seed)
-    for decision in result.decisions:
-        view = causal_view(decision.site, decision.time,
-                           result.messages[:decision.log_size])
-        for msg in view.messages:
-            assert msg.destination == decision.site, "view leaked another site"
-            assert msg.earliest_arrival <= decision.time, "view leaked the future"
-        output = tuple(getattr(strategy, decision.kind)(view, decision.round, priv))
-        assert output == decision.output, (
-            f"{decision.kind} at round {decision.round} not reproducible "
-            f"from its causal view")
+                     decisions=tuple(decisions))
 
 
 def aggregate_event(transcript: Transcript) -> SpacetimeEvent:

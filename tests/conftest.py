@@ -6,7 +6,9 @@ import pytest
 from hypothesis import strategies as st
 
 from rbc.adversary import OffsetGuessAlice, offset_guess_reveal
-from rbc.netsim import HonestAlice, causal_view
+from rbc.agents import AliceState, make_tape
+from rbc.netsim import AlicePrivate, HonestAlice, causal_view
+from rbc.rng import derive_seed
 from rbc.spacetime import ProtocolParams
 
 
@@ -56,3 +58,29 @@ def decision_view(result, decision):
     """The causal view a decision got, rebuilt from its log prefix."""
     return causal_view(decision.site, decision.time,
                        result.messages[:decision.log_size])
+
+
+def replay_decisions(result, strategy, bit: int, rounds: int) -> None:
+    """Re-derive every decision of a simulate run from its causal view alone.
+
+    The caller passes the strategy object, bit and rounds it gave
+    simulate.  Alice's private inputs are rebuilt from those and her seed
+    in the transcript; each view is rebuilt from the message-log prefix
+    that existed at decision time and checked against the causal
+    predicate; then the strategy's method named by the decision's kind must
+    return the recorded output.  Raises AssertionError on any divergence:
+    this is the executable form of the no-superluminal-information claim.
+    """
+    t = result.transcript
+    params, seed = t.params, t.alice_seed
+    state = AliceState(bit, make_tape(params.m, rounds, seed), rounds)
+    priv = AlicePrivate(params, state, derive_seed(seed, "alice", "cheat"))
+    for decision in result.decisions:
+        view = decision_view(result, decision)
+        for msg in view.messages:
+            assert msg.destination == decision.site, "view leaked another site"
+            assert msg.earliest_arrival <= decision.time, "view leaked the future"
+        output = tuple(getattr(strategy, decision.kind)(view, decision.round, priv))
+        assert output == decision.output, (
+            f"{decision.kind} at round {decision.round} not reproducible "
+            f"from its causal view")

@@ -14,19 +14,20 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from typing import NamedTuple
 
 import pytest
 
 from rbc.adversary import OffsetGuessAlice, optimal_flip_success, run_attack
 from rbc.analysis import capacity_report
 from rbc.codec import commit_round
-from rbc.netsim import CausalView, HonestAlice, replay_decisions, simulate
+from rbc.netsim import CausalView, HonestAlice, SimResult, simulate
 from rbc.rng import Stream
 from rbc.spacetime import ProtocolParams, round_window, unveil_deadline
 from rbc.transcript_io import parse_transcript, serialize_transcript
 from rbc.verifier import verify
 
-from conftest import ShortAnswer, decision_view
+from conftest import ShortAnswer, decision_view, replay_decisions
 from mutations import (EPS, with_pair, with_revealed, with_round, with_unveil,
                        with_value)
 
@@ -45,6 +46,23 @@ def report(number: int, name: str, ok: bool, note: str = "") -> None:
     assert ok, f"criterion {number} ({name}) failed: {note}"
 
 
+class HonestRun(NamedTuple):
+    """An honest simulate run with the bit and rounds it was given."""
+
+    bit: int
+    rounds: int
+    result: SimResult
+
+    @property
+    def transcript(self):
+        return self.result.transcript
+
+
+def honest_run(params, rounds, bit, alice_seed, bob_seed) -> HonestRun:
+    return HonestRun(bit, rounds,
+                     simulate(params, rounds, bit, alice_seed, bob_seed))
+
+
 @pytest.fixture(scope="module")
 def grid_results():
     """All (m, R, bit, seed) honest runs of the completeness grid."""
@@ -55,9 +73,9 @@ def grid_results():
         for rounds in GRID_ROUNDS:
             for bit in (0, 1):
                 for seed in range(GRID_SEEDS):
-                    results.append(simulate(params, rounds, bit,
-                                            seed * 1013 + rounds,
-                                            seed * 2027 + m))
+                    results.append(honest_run(params, rounds, bit,
+                                              seed * 1013 + rounds,
+                                              seed * 2027 + m))
     return results, time.perf_counter() - started
 
 
@@ -69,8 +87,8 @@ def fuzz_pool():
         params = ProtocolParams(m, "1", "0.005", "0.01")
         for rounds in (1, 2, 3, 4):
             for seed in (11, 12):
-                pool.append(simulate(params, rounds, 1 - rounds % 2,
-                                     seed + rounds, 31 * seed + m))
+                pool.append(honest_run(params, rounds, 1 - rounds % 2,
+                                       seed + rounds, 31 * seed + m))
     return pool
 
 
@@ -78,11 +96,11 @@ def test_criterion_1_completeness_grid(grid_results):
     results, build_seconds = grid_results
     started = time.perf_counter()
     failures = []
-    for res in results:
-        verdict = verify(res.transcript)
-        if not (verdict.accepted and verdict.bit == res.bit):
-            failures.append((res.transcript.params.m, res.planned_rounds,
-                             res.bit, verdict))
+    for run in results:
+        verdict = verify(run.transcript)
+        if not (verdict.accepted and verdict.bit == run.bit):
+            failures.append((run.transcript.params.m, run.rounds, run.bit,
+                             verdict))
     elapsed = build_seconds + (time.perf_counter() - started)
     ok = not failures and elapsed < 60
     report(1, "completeness grid", ok,
@@ -233,17 +251,14 @@ def test_criterion_5_soundness_fuzzing(fuzz_pool):
 def test_criterion_6_causality_replay(grid_results, fuzz_pool):
     results, _ = grid_results
     replayed = 0
-    for res in results:
-        replay_decisions(res)
-        replayed += 1
-    for res in fuzz_pool:
-        replay_decisions(res)
+    for run in results + fuzz_pool:
+        replay_decisions(run.result, HonestAlice(), run.bit, run.rounds)
         replayed += 1
     params = ProtocolParams(2, "1", "0.005", "0.01")
     for rounds in (1, 2, 3):
-        res = simulate(params, rounds, 0, 3 + rounds, 17,
-                       strategy=OffsetGuessAlice())
-        replay_decisions(res)
+        strategy = OffsetGuessAlice()
+        res = simulate(params, rounds, 0, 3 + rounds, 17, strategy=strategy)
+        replay_decisions(res, strategy, 0, rounds)
         replayed += 1
 
     # API level: a strategy sees a frozen view of filtered messages and its
@@ -252,9 +267,9 @@ def test_criterion_6_causality_replay(grid_results, fuzz_pool):
     api_ok = view_fields == {"site", "now", "messages"}
     respond_params = list(inspect.signature(HonestAlice.respond).parameters)
     api_ok = api_ok and respond_params == ["self", "view", "k", "priv"]
-    for res in results[:50]:
-        for decision in res.decisions:
-            for msg in decision_view(res, decision).messages:
+    for run in results[:50]:
+        for decision in run.result.decisions:
+            for msg in decision_view(run.result, decision).messages:
                 api_ok = api_ok and (msg.destination == decision.site
                                      and msg.earliest_arrival <= decision.time)
     report(6, "causality replay", api_ok,

@@ -11,11 +11,11 @@ from rbc.adversary import (_ORACLE_MAX_BITS, OffsetGuessAlice,
                            OracleBudgetError, _oracle_bits,
                            optimal_flip_success, run_attack)
 from rbc.codec import binary_forms
-from rbc.netsim import replay_decisions, simulate
+from rbc.netsim import simulate
 from rbc.spacetime import ProtocolParams
 from rbc.verifier import verify
 
-from conftest import CommittedBitGuess, decision_view
+from conftest import CommittedBitGuess, decision_view, replay_decisions
 from mutations import with_unveil
 
 
@@ -282,6 +282,29 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             run_attack(params_m2, 1, "offset-guess", 0, 1)
 
+    @pytest.mark.parametrize("trials, seed, message", [
+        (2.5, 1, "trials must be an int, got 2.5"),
+        (True, 1, "trials must be an int, got True"),
+        (1, 1.0, "seed must be an int, got 1.0"),
+        (1, True, "seed must be an int, got True")])
+    def test_non_int_trials_and_seed_refused(self, params_m2, trials, seed,
+                                             message):
+        with pytest.raises(ValueError, match=message):
+            run_attack(params_m2, 1, "offset-guess", trials, seed)
+
+    def test_oracle_past_its_budget_left_out(self):
+        # (16, 5) is past the oracle's size bound but inside the tape bound
+        with pytest.raises(OracleBudgetError):
+            optimal_flip_success(16, 5)
+        params = ProtocolParams(16, "1", "0.005", "0.01")
+        outcome = run_attack(params, 5, "offset-guess", 1, 1)
+        assert outcome.trials == 1 and outcome.oracle_rate is None
+        assert outcome.to_json_obj()["oracle_rate"] is None
+
+    def test_negative_seed_accepted(self, params_m2):
+        outcome = run_attack(params_m2, 1, "offset-guess", 3, -1)
+        assert outcome.trials == 3 and outcome.oracle_rate == Fraction(1, 3)
+
     def test_successes_pinned(self, params_m2):
         # exact count, so a clock or scheduling change that flips even one
         # trial shows; the rate tests above only bound it within 3 sigma
@@ -296,13 +319,15 @@ class TestMonteCarlo:
 class TestCausalConfinement:
     @pytest.mark.parametrize("rounds", [1, 2, 3, 4])
     def test_attack_decisions_replay_from_views(self, params_m2, rounds):
-        res = simulate(params_m2, rounds, 0, 11, 12, strategy=OffsetGuessAlice())
-        replay_decisions(res)
+        strategy = OffsetGuessAlice()
+        res = simulate(params_m2, rounds, 0, 11, 12, strategy=strategy)
+        replay_decisions(res, strategy, 0, rounds)
 
     def test_attack_replay_with_zero_delays(self):
         p = ProtocolParams(2, "1", 0, "0.01")
-        res = simulate(p, 3, 1, 21, 22, strategy=OffsetGuessAlice())
-        replay_decisions(res)
+        strategy = OffsetGuessAlice()
+        res = simulate(p, 3, 1, 21, 22, strategy=strategy)
+        replay_decisions(res, strategy, 1, 3)
 
     def test_unveiler_view_excludes_last_round(self, params_m2):
         res = simulate(params_m2, 3, 0, 11, 12, strategy=OffsetGuessAlice())

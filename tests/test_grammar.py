@@ -19,14 +19,14 @@ ROOT = Path(__file__).resolve().parent.parent
 FLOOR = tuple(map(int, re.search(
     r'requires-python = ">=(\d+)\.(\d+)"',
     (ROOT / "pyproject.toml").read_text()).groups()))
-SOURCES = sorted(path for folder in ("src", "tests", "perfbench")
+SOURCES = sorted(path for folder in ("src", "tests", "perfbench", "ci")
                  for path in (ROOT / folder).rglob("*.py"))
 
 
 def test_every_folder_has_sources():
     # an empty glob would leave nothing to parse and pass silently
     assert {p.relative_to(ROOT).parts[0] for p in SOURCES} == {
-        "src", "tests", "perfbench"}
+        "src", "tests", "perfbench", "ci"}
 
 
 @pytest.mark.parametrize("path", SOURCES,

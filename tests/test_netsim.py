@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,15 +13,14 @@ from rbc.adversary import OffsetGuessAlice
 from rbc.codec import tape_consumed
 from rbc.codec import PairChallenge
 from rbc.netsim import (MAX_TAPE_KEYS, CausalView, HonestAlice, RoundRecord,
-                        TimedMessage, aggregate_event, causal_view,
-                        replay_decisions, simulate)
+                        TimedMessage, aggregate_event, causal_view, simulate)
 from rbc.spacetime import (GeometryError, ProtocolParams, SpacetimeEvent,
                            round_site, round_window, unveil_deadline)
 from rbc.transcript_io import serialize_transcript
 from rbc.verifier import backward_decode, verify
 
 from conftest import (CommittedBitGuess, ShortAnswer, decision_view,
-                      valid_params)
+                      replay_decisions, valid_params)
 
 # Parametrize ids name the strategy classes as the attack CLI names them.
 _STRATEGY_IDS = {HonestAlice: "honest", OffsetGuessAlice: "offset-guess"}
@@ -188,23 +188,25 @@ class TestAbortPaths:
                                       f"causal view")
                 return super().respond(view, k, priv)
 
-        res = simulate(params_m2, 2, 0, 1, 2, strategy=EchoesLastRound())
+        strategy = EchoesLastRound()
+        res = simulate(params_m2, 2, 0, 1, 2, strategy=strategy)
         assert res.transcript.abort == (
             "respond at site 2: round 1 relay missing from causal view")
         # site 1's unveil shares round 2's answer instant and comes first
         assert [d.kind for d in res.decisions] == ["respond", "unveil"]
         assert verify(res.transcript).reason == "incomplete_transcript"
-        replay_decisions(res)
+        replay_decisions(res, strategy, 0, 2)
 
     def test_unveil_without_needed_relay_recorded(self, params_m2):
         # The partner unveiler at round R's own site cannot have the twin
         # site's round-1 relay by the unveil time, so its forgery aborts.
-        res = simulate(params_m2, 2, 0, 1, 3, strategy=OffsetGuessAlice(),
+        strategy = OffsetGuessAlice()
+        res = simulate(params_m2, 2, 0, 1, 3, strategy=strategy,
                        dual_unveil=True)
         assert "round 1 relay missing" in res.transcript.abort
         assert res.transcript.aggregation is None
         assert verify(res.transcript).reason == "incomplete_transcript"
-        replay_decisions(res)
+        replay_decisions(res, strategy, 0, 2)
 
 
 class TestModulusBound:
@@ -252,11 +254,23 @@ class TestWalkOrder:
         with pytest.raises(ValueError, match=r"10\*delta < delta_x"):
             simulate(p, 3, 1, 1, 2)
 
+    # a bit of 1 as another type is refused as well
     @pytest.mark.parametrize("rounds, bit, message", [
-        (0, 0, "rounds must be >= 1"), (1, 2, "bit must be 0 or 1")])
+        (0, 0, "rounds must be >= 1"), (1, 2, "bit must be 0 or 1"),
+        (1, 1.0, "bit must be 0 or 1"), (1, True, "bit must be 0 or 1"),
+        (1, Fraction(1), "bit must be 0 or 1")])
     def test_bad_run_inputs_refused(self, params_m2, rounds, bit, message):
         with pytest.raises(ValueError, match=message):
             simulate(params_m2, rounds, bit, 1, 2)
+
+    @pytest.mark.parametrize("seed", [1.0, True, Fraction(1)],
+                             ids=["float", "bool", "fraction"])
+    @pytest.mark.parametrize("name", ["alice_seed", "bob_seed"])
+    def test_seeds_must_be_exact_ints(self, params_m2, name, seed):
+        seeds = {"alice_seed": 1, "bob_seed": 2, name: seed}
+        message = f"{name} must be an int in [0, 2**64), got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate(params_m2, 2, 1, **seeds)
 
     def test_tape_bound_allows_the_documented_runs(self):
         assert tape_consumed(10, 7) <= MAX_TAPE_KEYS < tape_consumed(10, 8)
@@ -286,7 +300,7 @@ class TestBobIndependence:
 
 class TestReplay:
     def test_honest_decisions_replayable(self, params_m3):
-        replay_decisions(simulate(params_m3, 4, 1, 7, 9))
+        replay_decisions(simulate(params_m3, 4, 1, 7, 9), HonestAlice(), 1, 4)
 
     @pytest.mark.parametrize("bit", [0, 1])
     @pytest.mark.parametrize("rounds", [1, 2, 3])
@@ -294,8 +308,7 @@ class TestReplay:
         # the registry's offset-guess flips the bit; this one keeps it
         strategy = CommittedBitGuess()
         res = simulate(params_m2, rounds, bit, 11, 22, strategy=strategy)
-        assert res.strategy is strategy
-        replay_decisions(res)
+        replay_decisions(res, strategy, bit, rounds)
 
     def test_replays_a_strategy_outside_the_registry(self, params_m2):
         class Shifted(HonestAlice):
@@ -303,7 +316,9 @@ class TestReplay:
                 honest = super().respond(view, k, priv)
                 return tuple((v + 1) % priv.params.modulus for v in honest)
 
-        replay_decisions(simulate(params_m2, 3, 1, 11, 22, strategy=Shifted()))
+        strategy = Shifted()
+        replay_decisions(simulate(params_m2, 3, 1, 11, 22, strategy=strategy),
+                         strategy, 1, 3)
 
     def test_replayable_with_zero_delays(self):
         # delta = 0 makes same-site delivery instantaneous: the rebuilt view
@@ -311,7 +326,14 @@ class TestReplay:
         # just-emitted message would leak into it
         p = ProtocolParams(2, "1", 0, "0.01")
         assert p.intra_delay == 0
-        replay_decisions(simulate(p, 3, 1, 1, 2))
+        replay_decisions(simulate(p, 3, 1, 1, 2), HonestAlice(), 1, 3)
+
+    def test_divergent_replay_refused(self, params_m2):
+        # the reference is not vacuous: the other bit gives other answers
+        res = simulate(params_m2, 3, 1, 7, 9)
+        with pytest.raises(AssertionError, match="respond at round 1 not "
+                                                 "reproducible"):
+            replay_decisions(res, HonestAlice(), 0, 3)
 
     def test_every_view_satisfies_causal_predicate(self, params_m2):
         res = simulate(params_m2, 3, 0, 5, 6)
@@ -413,7 +435,8 @@ class TestTickClock:
         p = ProtocolParams(base.m, base.delta_x, base.delta, base.delta_t,
                            intra_delay=min(intra * base.delta,
                                            base.delta + base.delta_t))
-        res = simulate(p, rounds, bit, seed, seed + 1, strategy=strategy(),
+        alice = strategy()
+        res = simulate(p, rounds, bit, seed, seed + 1, strategy=alice,
                        dual_unveil=dual)
         t = res.transcript
         for rec in t.rounds:
@@ -441,4 +464,4 @@ class TestTickClock:
             assert type(t.aggregation.time) is Fraction
         else:
             assert t.aggregation is None
-        replay_decisions(res)
+        replay_decisions(res, alice, bit, rounds)

@@ -566,3 +566,72 @@ class TestDualUnveil:
     def test_three_unveils_rejected(self, dual):
         trip = dataclasses.replace(dual, unveils=dual.unveils + dual.unveils[:1])
         assert verify(trip).reason == COUNT_MISMATCH
+
+
+class TestUnveilTimingDetails:
+    """Every reject the unveil timing checks make, with its exact detail.
+
+    The honest m=2 single unveil comes from site 2 with the R=3 deadline
+    73/25; the dual pair at R=2 comes from sites 1 then 2 with the
+    deadline 391/200.  Where two faults meet, the pinned one is reported:
+    a negative time before a site, and a site before a deadline.
+    """
+
+    @pytest.fixture
+    def dual(self, params_m2):
+        return simulate(params_m2, 2, 1, 7, 9, dual_unveil=True).transcript
+
+    @pytest.mark.parametrize("changes, reason, detail", [
+        ({"completes_at": Fraction(-1)}, TIMING_VIOLATION,
+         "unveil from site 2 completes before the protocol start"),
+        ({"completes_at": Fraction(-1), "site": 1}, TIMING_VIOLATION,
+         "unveil from site 1 completes before the protocol start"),
+        ({"site": 1}, SITE_MISMATCH,
+         "unveil from site 1, round 3 requires site 2"),
+        ({"site": 1, "completes_at": Fraction(73, 25)}, SITE_MISMATCH,
+         "unveil from site 1, round 3 requires site 2"),
+        ({"completes_at": Fraction(73, 25)}, TIMING_VIOLATION,
+         "unveil completes at 73/25, not strictly before 73/25"),
+        ({"completes_at": Fraction(3)}, TIMING_VIOLATION,
+         "unveil completes at 3, not strictly before 73/25"),
+    ], ids=["negative", "negative_before_site", "site", "site_before_deadline",
+            "at_deadline", "past_deadline"])
+    def test_single(self, honest, changes, reason, detail):
+        verdict = verify(with_unveil(honest, **changes))
+        assert (verdict.reason, verdict.detail) == (reason, detail)
+
+    @pytest.mark.parametrize("changes, reason, detail", [
+        ([{}, {"completes_at": Fraction(-1)}], TIMING_VIOLATION,
+         "unveil from site 2 completes before the protocol start"),
+        ([{"completes_at": Fraction(391, 200)}, {"completes_at": Fraction(-1)}],
+         TIMING_VIOLATION,
+         "unveil from site 2 completes before the protocol start"),
+        ([{}, {"site": 1}], SITE_MISMATCH,
+         "dual unveil requires exactly one message from each site"),
+        ([{"site": 2}, {"site": 1}], None, None),
+        ([{"site": 2}, {"completes_at": Fraction(391, 200)}], SITE_MISMATCH,
+         "dual unveil requires exactly one message from each site"),
+        ([{}, {"completes_at": Fraction(391, 200)}], TIMING_VIOLATION,
+         "unveil from site 2 completes at 391/200, not strictly before 391/200"),
+        ([{"completes_at": Fraction(2)}, {"completes_at": Fraction(391, 200)}],
+         TIMING_VIOLATION,
+         "unveil from site 1 completes at 2, not strictly before 391/200"),
+        ([{"completes_at": Fraction(0)}, {"completes_at": Fraction(3, 2)}],
+         TIMING_VIOLATION, "dual unveil emissions are not spacelike separated"),
+        ([{"completes_at": Fraction(0)}, {"completes_at": Fraction(391, 200)}],
+         TIMING_VIOLATION,
+         "unveil from site 2 completes at 391/200, not strictly before 391/200"),
+    ], ids=["negative", "negative_before_deadline", "same_sites",
+            "swapped_sites", "sites_before_deadline", "at_deadline",
+            "first_late_named", "not_spacelike", "deadline_before_spacelike"])
+    def test_dual(self, dual, changes, reason, detail):
+        mutated = dual
+        for idx, change in enumerate(changes):
+            if change:
+                mutated = with_unveil(mutated, idx, **change)
+        verdict = verify(mutated)
+        if reason is None:
+            # the pair's order is free: only the two site ids are required
+            assert verdict.accepted and verdict.bit == 1
+        else:
+            assert (verdict.reason, verdict.detail) == (reason, detail)
