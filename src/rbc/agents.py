@@ -46,7 +46,8 @@ class UnveilMessage:
     def __post_init__(self):
         # a time given as a float or an int is held as the exact Fraction
         # it spells, as SpacetimeEvent holds its time
-        object.__setattr__(self, "completes_at", as_exact(self.completes_at))
+        if type(self.completes_at) is not Fraction:
+            object.__setattr__(self, "completes_at", as_exact(self.completes_at))
 
 
 def make_tape(m: int, planned_rounds: int, alice_seed: int) -> RandomTape:

@@ -145,7 +145,11 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         with open(args.transcript, "r", encoding="utf-8") as fh:
-            transcript = parse_transcript(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise TranscriptFormatError(f"not UTF-8: {exc}") from None
+        transcript = parse_transcript(text)
     except OSError as exc:
         print(f"cannot read {args.transcript}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,19 +15,22 @@ plus intra_delay.  The unveils share round R's answer instant; there site 1
 acts before site 2, and at one site the unveil precedes the answer.  The
 aggregation is read off the same schedule: round R's answer, relayed to
 the primary unveiler's site.  aggregate_event is the one rule over a
-transcript's completions, and the verifier recomputes it.  The
-order rests on valid geometry: delta_t + 2*delta < T puts each answer
-before the next challenge, intra_delay <= delta + delta_t puts it by its
-response deadline, and delta_t + 4*delta < delta_x puts the unveil before
-its causal deadline.  Time is kept in exact integer ticks of the
-params' clock (``ProtocolParams.clock``) and becomes a ``Fraction`` only
-where it leaves the walk, so identical seeds give identical transcripts,
-byte for byte.  Every strategy is treated alike: each answer is logged at
-its own site and relayed to the twin site, and the answer and the unveil
-are one decision step, so malformed output or a view that lacks what the
-strategy needs (a LookupError) ends the run as a transcript abort for
-either, not an exception.  Only protocol messages are modelled; channel
-tests run before the protocol starts are outside it.
+transcript's completions, and the verifier recomputes it.  The order rests
+on valid geometry: delta_t + 2*delta < T puts each answer before the next
+challenge, intra_delay <= delta + delta_t puts it by its response
+deadline, and delta_t + 4*delta < delta_x puts the unveil before its causal
+deadline.  The schedule is built in exact integer ticks of the params'
+clock (``ProtocolParams.clock``) on a geometry's first run of R rounds and
+shared by its later runs: its steps, each decision's view positions and
+its events, so the events in SimResult.messages are shared immutable
+objects.  A run builds only what its seeds decide, and identical seeds
+give identical transcripts, byte for byte.  Every strategy is treated
+alike: each answer is logged at its own site and relayed to the twin site,
+and the answer and the unveil are one decision step, so malformed output
+or a view that lacks what the strategy needs (a LookupError) ends the run
+as a transcript abort for either, not an exception.  Only protocol
+messages are modelled; channel tests run before the protocol starts are
+outside it.
 """
 
 from __future__ import annotations
@@ -67,8 +70,10 @@ class RoundRecord:
     def __post_init__(self):
         # a time given as a float or an int is held as the exact Fraction
         # it spells, as UnveilMessage holds its time
-        for name in ("challenge_start", "challenge_end", "response_end"):
-            object.__setattr__(self, name, as_exact(getattr(self, name)))
+        if not (type(self.challenge_start) is type(self.challenge_end)
+                is type(self.response_end) is Fraction):
+            for name in ("challenge_start", "challenge_end", "response_end"):
+                object.__setattr__(self, name, as_exact(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -191,6 +196,55 @@ def _validate_values(values, count: int, modulus: int, what: str) -> tuple[int, 
     return values
 
 
+def _schedule(params: ProtocolParams, rounds: int, dual_unveil: bool):
+    """The walk of every run of `rounds` rounds at this geometry, built on
+    the first and kept on the params: its steps in order, each (kind, site,
+    round, time, window, shown, sends), then the aggregation event.  window
+    is a response's (challenge_start, challenge_end); shown holds the log
+    positions of a decision's view, found by causal_view over a log whose
+    payloads are the positions; sends holds (sent, destination,
+    earliest_arrival) per logged message, which arrives one intra_delay
+    later at its own site, cross_delay later at the other.
+    """
+    schedule = params._schedules.get((rounds, dual_unveil))
+    if schedule is not None:
+        return schedule
+    ticks, at = params.clock.ticks, params.clock.time
+    steps: list[tuple] = []
+    skeleton: list[TimedMessage] = []
+
+    def step(kind: str, site: int, k: int, tick: int, window, *to_sites) -> None:
+        time = at(tick)
+        shown = tuple(m.payload for m in causal_view(site, time, skeleton).messages)
+        sent = SpacetimeEvent(time, site)
+        sends = tuple((sent, to, at(tick + (ticks.intra_delay if to == site
+                                            else ticks.cross_delay)))
+                      for to in to_sites)
+        skeleton.extend([TimedMessage(len(skeleton) + i, *send)
+                         for i, send in enumerate(sends)])
+        steps.append((kind, site, k, time, window, shown, sends))
+
+    for k in range(1, rounds + 1):
+        # challenge k is sent as its window ends, answered as it arrives
+        site = round_site(k)
+        start, end, _ = round_window(ticks, k)
+        step("challenge", site, k, end, None, site)
+        now, window = end + ticks.intra_delay, (at(start), at(end))
+        if k < rounds:
+            step("respond", site, k, now, window, site, 3 - site)
+    # Round R's answer and the unveils share one instant: site 1 acts
+    # before site 2, and at one site the unveil precedes the answer.
+    for unveiler in (1, 2):
+        if unveiler != site or dual_unveil:
+            step("unveil", unveiler, rounds, now, None, unveiler)
+        if unveiler == site:
+            step("respond", site, rounds, now, window, site, 3 - site)
+    # each site's last completion is at now, and cross_delay > 0
+    aggregation = SpacetimeEvent(at(now + ticks.relay_delay), 3 - site)
+    schedule = params._schedules[rounds, dual_unveil] = (tuple(steps), aggregation)
+    return schedule
+
+
 def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
              bob_seed: int, *, strategy=None, dual_unveil: bool = False) -> SimResult:
     """Run rounds 1..R plus unveiling under an Alice strategy object.
@@ -225,98 +279,48 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
             raise ValueError(f"{name} must be an int in [0, 2**64), "
                              f"got {seed!r}")
     strategy = HonestAlice() if strategy is None else strategy
+    # tape_consumed refused a rounds that is not an int >= 1
+    steps, aggregation = _schedule(params, rounds, bool(dual_unveil))
 
     # Alice's secrets for the run, all derived from her seed
     state = AliceState(bit, make_tape(params.m, rounds, alice_seed), rounds)
     priv = AlicePrivate(params, state, derive_seed(alice_seed, "alice", "cheat"))
-    # The walk keeps time in integer ticks; at() gives the Fraction of each
-    # time that leaves it.
-    clock = params.clock
-    ticks, at = clock.ticks, clock.time
 
     log: list[TimedMessage] = []
     records: list[RoundRecord] = []
     unveils: list[UnveilMessage] = []
     decisions: list[Decision] = []
     abort: Optional[str] = None
-
-    def emit(payload, tick: int, from_site: int, to_site: int) -> None:
-        """Log a message arriving one intra_delay later at the same site,
-        cross_delay later at the other."""
-        arrival = tick + (ticks.intra_delay if to_site == from_site
-                          else ticks.cross_delay)
-        log.append(TimedMessage(payload, SpacetimeEvent(at(tick), from_site),
-                                to_site, at(arrival)))
-
-    def send_challenge(k: int) -> tuple[PairChallenge, int]:
-        """Log round k's challenge, sent as its window ends; return it and
-        its answer instant, the tick it arrives."""
-        site = round_site(k)
-        payload = bob_challenge(k, params,
-                                Stream(derive_seed(bob_seed, "bob", site, k)))
-        end = round_window(ticks, k)[1]
-        emit(payload, end, site, site)
-        return payload, end + ticks.intra_delay
-
-    def decide(kind: str, site: int, now: int, k: int,
-               what: str) -> tuple[Fraction, tuple[int, ...]]:
-        """Call the strategy's `kind` method on the view at (site, now) and
-        record the decision.  Malformed output and a LookupError (the view
-        lacks what the strategy needs) end the run."""
-        time = at(now)
-        log_size = len(log)
-        try:
-            output = getattr(strategy, kind)(causal_view(site, time, log), k, priv)
-        except LookupError as missing:
-            raise _Abort(f"{kind} at site {site}: {missing}") from None
-        values = _validate_values(output, params.m ** (k - 1), params.modulus, what)
-        decisions.append(Decision(kind, site, time, k, values, log_size))
-        return time, values
-
-    def respond(challenge: PairChallenge, now: int) -> None:
-        """Answer a challenge at its answer instant; log the record at its
-        own site and relay it to the twin site."""
-        k = challenge.round
-        site = round_site(k)
-        start, end, _ = round_window(ticks, k)
-        time, values = decide("respond", site, now, k, f"round {k} response")
-        record = RoundRecord(round=k, site=site, challenge_start=at(start),
-                             challenge_end=at(end), pairs=challenge.pairs,
-                             response_end=time, values=values)
-        records.append(record)
-        emit(record, now, site, site)
-        emit(record, now, site, 3 - site)
-
-    def unveil(site: int, now: int) -> None:
-        time, revealed = decide("unveil", site, now, rounds, "unveil")
-        message = UnveilMessage(round=rounds, revealed=revealed, site=site,
-                                completes_at=time)
-        unveils.append(message)
-        emit(message, now, site, site)
-
     try:
-        for k in range(1, rounds):
-            respond(*send_challenge(k))
-        last, now = send_challenge(rounds)
-        last_site = round_site(rounds)
-        # Round R's answer and the unveils share one instant: site 1 acts
-        # before site 2, and at one site the unveil precedes the answer.
-        for site in (1, 2):
-            if site != last_site or dual_unveil:
-                unveil(site, now)
-            if site == last_site:
-                respond(last, now)
+        for kind, site, k, time, window, shown, sends in steps:
+            if kind == "challenge":
+                payload = challenge = bob_challenge(
+                    k, params, Stream(derive_seed(bob_seed, "bob", site, k)))
+            else:
+                # malformed output or a LookupError ends the run
+                view = CausalView(site, time, tuple([log[i] for i in shown]))
+                try:
+                    output = getattr(strategy, kind)(view, k, priv)
+                except LookupError as missing:
+                    raise _Abort(f"{kind} at site {site}: {missing}") from None
+                values = _validate_values(
+                    output, params.m ** (k - 1), params.modulus,
+                    "unveil" if kind == "unveil" else f"round {k} response")
+                decisions.append(Decision(kind, site, time, k, values, len(log)))
+                if kind == "unveil":
+                    payload = UnveilMessage(k, values, site, time)
+                    unveils.append(payload)
+                else:
+                    payload = RoundRecord(k, site, *window, challenge.pairs,
+                                          time, values)
+                    records.append(payload)
+            log.extend([TimedMessage(payload, *send) for send in sends])
     except _Abort as stop:
         abort = str(stop)
 
-    aggregation = None
-    if abort is None:
-        # each site's last completion is at now, and cross_delay > 0
-        aggregation = SpacetimeEvent(
-            at(now + ticks.intra_delay + ticks.cross_delay), 3 - last_site)
-    transcript = Transcript(params=params,
-                            rounds=tuple(records),
-                            unveils=tuple(unveils), aggregation=aggregation,
+    transcript = Transcript(params=params, rounds=tuple(records),
+                            unveils=tuple(unveils),
+                            aggregation=aggregation if abort is None else None,
                             abort=abort, alice_seed=alice_seed, bob_seed=bob_seed)
     return SimResult(transcript=transcript, messages=tuple(log),
                      decisions=tuple(decisions))
@@ -352,5 +356,5 @@ def aggregate_event(transcript: Transcript) -> SpacetimeEvent:
     if here is not None:
         moments.append(here + params.intra_delay)
     if away is not None:
-        moments.append(away + params.intra_delay + params.cross_delay)
+        moments.append(away + params.relay_delay)
     return SpacetimeEvent(max(moments), home)

@@ -157,6 +157,16 @@ class ProtocolParams:
         return {}
 
     @cached_property
+    def _deadlines(self) -> dict:
+        """unveil_deadline's memo: round R -> its deadline."""
+        return {}
+
+    @cached_property
+    def _schedules(self) -> dict:
+        """netsim's memo: (rounds, dual_unveil) -> the walk of every such run."""
+        return {}
+
+    @cached_property
     def period(self) -> Fraction:
         return self.delta_x - 2 * self.delta_t - 3 * self.delta
 
@@ -168,6 +178,11 @@ class ProtocolParams:
         cross in less than this.
         """
         return self.delta_x - 2 * self.delta
+
+    @cached_property
+    def relay_delay(self) -> Fraction:
+        """intra_delay + cross_delay: via the local Bob to the other site."""
+        return self.intra_delay + self.cross_delay
 
     def problems(self) -> list[str]:
         """All violated construction invariants, in a fixed check order.
@@ -279,12 +294,12 @@ def round_window(params: ProtocolParams, k: int) -> tuple[Fraction, Fraction, Fr
     challenge_end] and the response must complete by response_end, both
     bounds inclusive ("completed by" semantics).  Each window is computed
     once per params object, so a k that is not an int >= 1 is refused
-    before it can enter the memo under an equal int's key.
+    before the memo is read, where it would find an equal int's entry.
     """
     windows = params._windows
-    window = windows.get(k)
+    window = windows.get(check_round(k))
     if window is None:
-        start = (check_round(k) - 1) * params.period
+        start = (k - 1) * params.period
         window = windows[k] = (start, start + params.delta_t,
                                start + params.delta + 2 * params.delta_t)
     return window
@@ -296,8 +311,14 @@ def unveil_deadline(params: ProtocolParams, last_round: int) -> Fraction:
     An unveil from site 3 - round_site(R) is causally safe iff its
     transmission completes strictly before (R-1)*T + (delta_x - 2*delta),
     the earliest instant round-R challenge information could reach that site.
+    Memoised per params object like round_window, and checked before it.
     """
-    return (check_round(last_round) - 1) * params.period + params.cross_delay
+    deadlines = params._deadlines
+    deadline = deadlines.get(check_round(last_round))
+    if deadline is None:
+        deadline = deadlines[last_round] = ((last_round - 1) * params.period
+                                            + params.cross_delay)
+    return deadline
 
 
 def spacelike(e1: SpacetimeEvent, e2: SpacetimeEvent, params: ProtocolParams) -> bool:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rbc.adversary import OffsetGuessAlice, offset_guess_reveal
 from rbc.agents import AliceState, make_tape
+from rbc.cli import main
 from rbc.netsim import AlicePrivate, HonestAlice, causal_view
 from rbc.rng import derive_seed
 from rbc.spacetime import ProtocolParams
@@ -20,6 +21,17 @@ def params_m2() -> ProtocolParams:
 @pytest.fixture
 def params_m3() -> ProtocolParams:
     return ProtocolParams(3, "1", "0.005", "0.01")
+
+
+@pytest.fixture(scope="session")
+def m10r6_file(tmp_path_factory):
+    """The m=10, R=6 transcript file that `rbc run` writes (9.4 MB, 111,111
+    commitments), built once for the whole session."""
+    out = tmp_path_factory.mktemp("m10r6") / "t.json"
+    assert main(["run", "--m", "10", "--rounds", "6", "--bit", "1",
+                 "--alice-seed", "1998", "--bob-seed", "9810068",
+                 "--out", str(out)]) == 0
+    return out
 
 
 @st.composite

@@ -187,6 +187,16 @@ class TestVerify:
         code, _, _ = run_cli(["verify", str(tmp_path / "nope.json")], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("data", [b"\xff\xfe", b'{"m": "\xe9"}'],
+                             ids=["utf16-bom", "latin1"])
+    def test_file_not_utf8_is_a_parse_error(self, tmp_path, capsys, data):
+        path = tmp_path / "t.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(["verify", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("parse error: not UTF-8: 'utf-8' codec can't "
+                              "decode byte 0x")
+
 
 class TestAttack:
     def test_offset_guess_report(self, capsys):

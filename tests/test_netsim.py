@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import re
 from fractions import Fraction
 
@@ -284,6 +285,70 @@ class TestWalkOrder:
         with pytest.raises(ValueError, match=f"rounds={rounds} at m={m} draws "
                                              f"more than {MAX_TAPE_KEYS} tape keys"):
             simulate(p, rounds, 1, 1, 2)
+
+
+class TestScheduleMemo:
+    """simulate builds a geometry's schedule on its first run, keyed by the
+    exact int round count and the bool of dual_unveil."""
+
+    def test_non_int_rounds_refused_before_the_memo(self):
+        params = ProtocolParams(2, "1", "0.005", "0.01")
+
+        def refused():
+            for rounds in (3.0, True):
+                with pytest.raises(ValueError, match="round index must be an int"):
+                    simulate(params, rounds, 1, 7, 9)
+            with pytest.raises(ValueError, match="round index must be an int"):
+                unveil_deadline(params, 2.0)
+
+        refused()
+        assert params._schedules == params._deadlines == {}
+        # warm, the memos hold the entries True and 2.0 equal
+        simulate(params, 1, 1, 7, 9), unveil_deadline(params, 2)
+        refused()
+        assert set(params._schedules) == {(1, False)}
+        assert set(params._deadlines) == {2}
+        fresh = ProtocolParams(2, "1", "0.005", "0.01")
+        assert simulate(params, 3, 1, 7, 9) == simulate(fresh, 3, 1, 7, 9)
+
+    def test_dual_unveil_keyed_by_its_truth(self, params_m2):
+        assert (simulate(params_m2, 2, 1, 7, 9, dual_unveil=1)
+                == simulate(params_m2, 2, 1, 7, 9, dual_unveil=True))
+        assert (simulate(params_m2, 2, 1, 7, 9, dual_unveil=0)
+                == simulate(params_m2, 2, 1, 7, 9))
+        assert set(params_m2._schedules) == {(2, True), (2, False)}
+
+    def test_runs_share_the_schedule_events(self, params_m2):
+        a = simulate(params_m2, 3, 1, 7, 9)
+        b = simulate(params_m2, 3, 0, 8, 10)
+        assert [m.sent for m in a.messages] == [m.sent for m in b.messages]
+        assert all(x.sent is y.sent for x, y in zip(a.messages, b.messages))
+        assert a.transcript.aggregation is b.transcript.aggregation
+
+    def test_walk_digest_pinned(self):
+        # messages, decisions and transcript bytes over the grid, aborting
+        # runs included (ShortAnswer aborts at round 2, and a forging
+        # partner unveiler at round R's site lacks the round 1 relay);
+        # pinned before the schedule was memoised
+        digest = hashlib.sha256()
+        aborts = 0
+        for m in (2, 3):
+            params = ProtocolParams(m, "1", "0.005", "0.01")
+            for rounds, dual in itertools.product((1, 2, 3), (False, True)):
+                for strategy in (HonestAlice(), OffsetGuessAlice(),
+                                 ShortAnswer(), CommittedBitGuess()):
+                    for bit in (0, 1):
+                        res = simulate(params, rounds, bit,
+                                       100 * m + 10 * rounds + bit, 7 + rounds,
+                                       strategy=strategy, dual_unveil=dual)
+                        replay_decisions(res, strategy, bit, rounds)
+                        for text in (repr(res.messages), repr(res.decisions),
+                                     serialize_transcript(res.transcript)):
+                            digest.update(text.encode("utf-8"))
+                        aborts += res.transcript.abort is not None
+        assert aborts == 32
+        assert digest.hexdigest() == (
+            "55289d683c384abf5cad1bb5f35cf0eef40fb968b130b281c2dcd4311f68809a")
 
 
 class TestBobIndependence:

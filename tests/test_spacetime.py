@@ -127,7 +127,11 @@ class TestRoundWindow:
 
     @pytest.mark.parametrize("k", [3.0, True, None, "3", Fraction(3)])
     def test_refuses_a_non_int_index(self, params_m2, k):
-        # refused before it can enter the memo under an equal int's key
+        # refused before the memo is read or written
+        with pytest.raises(ValueError, match="round index must be an int"):
+            round_window(params_m2, k)
+        # the warm memo holds equal ints' entries, which a lookup by k finds
+        round_window(params_m2, 1), round_window(params_m2, 3)
         with pytest.raises(ValueError, match="round index must be an int"):
             round_window(params_m2, k)
         assert round_window(params_m2, 3) == (
@@ -201,11 +205,19 @@ class TestUnveilDeadline:
     def test_second_round(self, params_m2):
         assert unveil_deadline(params_m2, 2) == Fraction("1.955")
 
+    def test_computed_once_per_params(self, params_m2):
+        assert unveil_deadline(params_m2, 2) is unveil_deadline(params_m2, 2)
+
     @pytest.mark.parametrize("k", [0, -1, 3.0, 2.5, True, None])
     def test_refuses_a_bad_index(self, params_m2, k):
         # a float index would give a float deadline, 2.92 for 3.0
         with pytest.raises(ValueError, match="round index must be an int >= 1"):
             unveil_deadline(params_m2, k)
+        # refused before the memo too, where 3.0 would find 3's entry
+        unveil_deadline(params_m2, 1), unveil_deadline(params_m2, 3)
+        with pytest.raises(ValueError, match="round index must be an int >= 1"):
+            unveil_deadline(params_m2, k)
+        assert unveil_deadline(params_m2, 3) == Fraction("2.92")
 
     @given(valid_params())
     def test_response_end_precedes_deadline(self, p):

@@ -182,14 +182,10 @@ class TestByteIdentity:
         assert main(M3R3_RUN + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == M3R3_SHA256
 
-    def test_cli_run_bytes_pinned_past_one_lane_block(self, tmp_path):
+    def test_cli_run_bytes_pinned_past_one_lane_block(self, m10r6_file):
         # 111,111 tape words and 222,222 challenge words: many full blocks
         # of the rng lane kernel plus a short final one
-        out = tmp_path / "t.json"
-        assert main(["run", "--m", "10", "--rounds", "6", "--bit", "1",
-                     "--alice-seed", "1998", "--bob-seed", "9810068",
-                     "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        assert hashlib.sha256(m10r6_file.read_bytes()).hexdigest() == (
             "34e771603b3cbb2a1dfb2539ae19412e57c98548eb243a41dc08c25434ee73c3")
 
     @pytest.mark.parametrize("rounds", [1, 2, 3, 4])
@@ -241,19 +237,14 @@ class TestByteIdentity:
             serialize_transcript(t)
 
 
-@pytest.fixture(scope="module")
-def transcript_m10r6() -> Transcript:
-    params = ProtocolParams(10, "1", "0.005", "0.01")
-    return simulate(params, 6, 1, 1998, 9810068).transcript
-
-
 class TestWriterMemory:
-    def test_serialize_peak_at_most_2_2_times_the_text(self, transcript_m10r6):
+    def test_serialize_peak_at_most_2_2_times_the_text(self, m10r6_file):
         # the pieces and their join, each about the size of the text; the
         # writer holds no other copy of it
+        transcript = parse_transcript(m10r6_file.read_text(encoding="utf-8"))
         tracemalloc.start()
         try:
-            text = serialize_transcript(transcript_m10r6)
+            text = serialize_transcript(transcript)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
