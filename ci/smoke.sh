@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CLI smoke test: run, verify and attack through `python -m rbc.cli`, the
-# pinned m=10, R=6 bytes, and exit 1 on each refused input.  It works in a
-# fresh temporary directory, so it writes nothing into the checkout.
+# pinned m=10, R=6 and coprime-denominator bytes, and exit 1 on each
+# refused input.  It works in a fresh temporary directory, so it writes
+# nothing into the checkout.
 # Run it from anywhere with `bash -e ci/smoke.sh`; tests/test_smoke.py
 # runs it as part of the Tier-1 suite.
 set -euo pipefail
@@ -20,6 +21,11 @@ cmp t.json again.json
 timeout 60 python -m rbc.cli run --m 10 --rounds 6 --bit 1 --alice-seed 1998 --bob-seed 9810068 --out m10r6.json
 echo "34e771603b3cbb2a1dfb2539ae19412e57c98548eb243a41dc08c25434ee73c3  m10r6.json" | sha256sum -c -
 python -m rbc.cli verify m10r6.json | python -c 'import json, sys; v = json.load(sys.stdin); sys.exit(0 if v["outcome"] == "accept" and v["bit"] == 1 else 1)'
+# a geometry whose four denominators share no factor, given as p/q flags,
+# keeps its pinned bytes and accepts bit 1
+python -m rbc.cli run --m 3 --rounds 3 --bit 1 --alice-seed 7 --bob-seed 9 --dx 7/3 --delta 1/97 --dt 1/31 --intra-delay 1/101 --out coprime.json
+echo "cd48bb7f68f7e613123e88e008452bb37d261124e6d02a472281b8b452fa4a1f  coprime.json" | sha256sum -c -
+python -m rbc.cli verify coprime.json | python -c 'import json, sys; v = json.load(sys.stdin); sys.exit(0 if v["outcome"] == "accept" and v["bit"] == 1 else 1)'
 # the exact oracle is attached at m=16, R=3, inside its 2^20-bit size bound
 timeout 60 python -m rbc.cli attack --m 16 --rounds 3 --strategy offset-guess --trials 1 --seed 1 | python -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["oracle_rate_exact"] is not None else 1)'
 # numeric flags whose exact value would be costly to build are refused with exit 1, not a hang

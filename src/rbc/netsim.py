@@ -19,18 +19,17 @@ transcript's completions, and the verifier recomputes it.  The order rests
 on valid geometry: delta_t + 2*delta < T puts each answer before the next
 challenge, intra_delay <= delta + delta_t puts it by its response
 deadline, and delta_t + 4*delta < delta_x puts the unveil before its causal
-deadline.  The schedule is built in exact integer ticks of the params'
-clock (``ProtocolParams.clock``) on a geometry's first run of R rounds and
-shared by its later runs: its steps, each decision's view positions and
-its events, so the events in SimResult.messages are shared immutable
-objects.  A run builds only what its seeds decide, and identical seeds
-give identical transcripts, byte for byte.  Every strategy is treated
-alike: each answer is logged at its own site and relayed to the twin site,
-and the answer and the unveil are one decision step, so malformed output
-or a view that lacks what the strategy needs (a LookupError) ends the run
-as a transcript abort for either, not an exception.  Only protocol
-messages are modelled; channel tests run before the protocol starts are
-outside it.
+deadline.  The schedule is computed in exact Fractions on a geometry's
+first run of R rounds and shared by its later runs: its steps, each
+decision's view positions and its events, so the events in
+SimResult.messages are shared immutable objects.  A run builds only what
+its seeds decide, and identical seeds give identical transcripts, byte
+for byte.  Every strategy is treated alike: each answer is logged at its
+own site and relayed to the twin site, and the answer and the unveil are
+one decision step, so malformed output or a view that lacks what the
+strategy needs (a LookupError) ends the run as a transcript abort for
+either, not an exception.  Only protocol messages are modelled; channel
+tests run before the protocol starts are outside it.
 """
 
 from __future__ import annotations
@@ -209,16 +208,14 @@ def _schedule(params: ProtocolParams, rounds: int, dual_unveil: bool):
     schedule = params._schedules.get((rounds, dual_unveil))
     if schedule is not None:
         return schedule
-    ticks, at = params.clock.ticks, params.clock.time
     steps: list[tuple] = []
     skeleton: list[TimedMessage] = []
 
-    def step(kind: str, site: int, k: int, tick: int, window, *to_sites) -> None:
-        time = at(tick)
+    def step(kind: str, site: int, k: int, time: Fraction, window, *to_sites) -> None:
         shown = tuple(m.payload for m in causal_view(site, time, skeleton).messages)
         sent = SpacetimeEvent(time, site)
-        sends = tuple((sent, to, at(tick + (ticks.intra_delay if to == site
-                                            else ticks.cross_delay)))
+        sends = tuple((sent, to, time + (params.intra_delay if to == site
+                                         else params.cross_delay))
                       for to in to_sites)
         skeleton.extend([TimedMessage(len(skeleton) + i, *send)
                          for i, send in enumerate(sends)])
@@ -227,9 +224,9 @@ def _schedule(params: ProtocolParams, rounds: int, dual_unveil: bool):
     for k in range(1, rounds + 1):
         # challenge k is sent as its window ends, answered as it arrives
         site = round_site(k)
-        start, end, _ = round_window(ticks, k)
+        start, end, _ = round_window(params, k)
         step("challenge", site, k, end, None, site)
-        now, window = end + ticks.intra_delay, (at(start), at(end))
+        now, window = end + params.intra_delay, (start, end)
         if k < rounds:
             step("respond", site, k, now, window, site, 3 - site)
     # Round R's answer and the unveils share one instant: site 1 acts
@@ -240,7 +237,7 @@ def _schedule(params: ProtocolParams, rounds: int, dual_unveil: bool):
         if unveiler == site:
             step("respond", site, rounds, now, window, site, 3 - site)
     # each site's last completion is at now, and cross_delay > 0
-    aggregation = SpacetimeEvent(at(now + ticks.relay_delay), 3 - site)
+    aggregation = SpacetimeEvent(now + params.relay_delay, 3 - site)
     schedule = params._schedules[rounds, dual_unveil] = (tuple(steps), aggregation)
     return schedule
 

@@ -11,12 +11,6 @@ sites, sized so that each round's response completes outside the future
 light cone of the other site's concurrent activity.  Every quantity is an
 exact ``Fraction``; deadline comparisons are exact, with "completes strictly
 before" semantics at light-cone bounds.
-
-Every instant of a schedule is an integer multiple of ``1/L``, where ``L``
-is the lcm of the four parameters' denominators.  ``ProtocolParams.clock``
-holds ``L`` and the same geometry counted in ticks of ``1/L``, so the
-schedule formulas below are written once over numbers: on the params they
-give ``Fraction`` times, on ``clock.ticks`` exact integer ticks.
 """
 
 from __future__ import annotations
@@ -24,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Union
 
 Scalar = Union[int, float, str, Fraction]
@@ -147,11 +140,6 @@ class ProtocolParams:
         return 1 << self.m
 
     @cached_property
-    def clock(self) -> "Clock":
-        """The exact integer clock of this geometry, built once."""
-        return Clock(self)
-
-    @cached_property
     def _windows(self) -> dict:
         """round_window's memo: round k -> its window."""
         return {}
@@ -224,36 +212,6 @@ class ProtocolParams:
         if not probs and self.intra_delay > self.delta + self.delta_t:
             probs.append("response deadline missed: need intra_delay <= delta + delta_t")
         return tuple(probs)
-
-
-class Clock:
-    """Integer ticks of ``1/scale`` for one valid ProtocolParams.
-
-    ``scale`` is the lcm of the denominators of delta_x, delta, delta_t and
-    intra_delay, so every schedule instant is a whole number of ticks.
-    ``ticks`` is the same geometry with each length counted in ticks: the
-    schedule formulas give tick counts on it.  ``time`` turns a tick count
-    back into the Fraction it stands for, building each distinct instant
-    once per clock.
-    """
-
-    __slots__ = ("scale", "ticks", "_times")
-
-    def __init__(self, params: ProtocolParams):
-        lengths = (params.delta_x, params.delta, params.delta_t,
-                   params.intra_delay)
-        scale = lcm(*(v.denominator for v in lengths))
-        self.scale = scale
-        self.ticks = ProtocolParams.unchecked(
-            params.m, *(v.numerator * (scale // v.denominator) for v in lengths))
-        self._times: dict[int, Fraction] = {}
-
-    def time(self, tick: int) -> Fraction:
-        """The instant tick/scale."""
-        value = self._times.get(tick)
-        if value is None:
-            value = self._times[tick] = Fraction(tick, self.scale)
-        return value
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,10 @@ fixed indent of each nesting level.  Integers are written with str(),
 which is what json.dumps writes for an int; anything else in an integer
 field (a residue, k, a round's or an unveil's site, params.m, a seed) such
 as a bool, None or a float raises ValueError naming the field, found by
-one C-level type pass over each list.  The aggregation's site needs no
+one C-level type pass over each list.  So does an int with more digits
+than CPython's str() converts (4,300 by default): a header, round or
+unveil integer in the check step, a list entry in the emit step, where
+the ValueError names its list.  The aggregation's site needs no
 guard: SpacetimeEvent holds only the int 1 or 2.  A seed may also be
 None, written null.  The header's integers are held to the reader's own
 bounds: a seed in [0, 2**64) and m in [0, MAX_M], or ValueError names
@@ -26,15 +29,16 @@ written through one helper that raises ValueError, naming the field, for
 a time longer than the parser accepts.  So the writer never emits a file
 that the parser refuses for a type, a time or a header range.
 
-The writer works in two steps.  The check step makes every check above,
-in file order (the header, each round, the unveils, the aggregation, the
-abort; within a round its three times before its two lists), before any
-list is formatted, and returns the small field texts with the long lists
-left in place.  The emit step is a generator that yields the file in
-order: the text between the lists as it is, and each pair or residue list
-as one piece per slice of at most 4,096 entries.  It raises no ValueError
-for any transcript the check step passed, except CPython's own limit of
-4,300 digits on str() of an int, which no residue below 2**64 nears.
+The writer works in two steps.  The check step makes every check above
+but the list entries' digit limit, in file order (the header, each
+round, the unveils, the aggregation, the abort; within a round its three
+times before its two lists), before any list is formatted, and returns
+the small field texts with the long lists left in place.  The emit step
+is a generator that yields the file in order: the text between the lists
+as it is, and each pair or residue list as one piece per slice of at
+most 4,096 entries.  It raises no ValueError for any transcript the check
+step passed, except for a list entry past that digit limit, which no
+residue below 2**64 nears.
 transcript_pieces runs the check step and returns the emit step, so
 `rbc run` writes the pieces straight to its file and leaves no file when a
 field is refused; serialize_transcript joins them once.  Its peak is then
@@ -199,12 +203,22 @@ def _time_text(value: Fraction, field: str) -> str:
     return text
 
 
+def _too_long(what: str, exc: ValueError) -> ValueError:
+    """CPython's digit-limit ValueError from str() of an int, naming the
+    field."""
+    return ValueError(f"{what}: integer too long to write: {exc}")
+
+
 def _int_text(value, what: str) -> str:
     """str(value), which is JSON only for an exact int: a bool, None or
-    float would write True, None or 1.5, so those raise ValueError."""
+    float would write True, None or 1.5, so those raise ValueError, and so
+    does an int with more digits than CPython converts to text."""
     if type(value) is not int:
         raise ValueError(f"{what}: expected an integer, got {value!r}")
-    return str(value)
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise _too_long(what, exc) from None
 
 
 def _seed_text(value, what: str) -> str:
@@ -276,10 +290,10 @@ def _round_parts(i: int, rec: RoundRecord) -> list:
     return [f'{{\n      "k": {k},\n      "site": {site},\n'
             f'      "challenge": {{\n        "start": "{start}",\n'
             f'        "end": "{end}",\n        "pairs": ',
-            (_pair_texts, rec.pairs, _PAD8),
+            (_pair_texts, rec.pairs, _PAD8, what + ".challenge.pairs"),
             f'\n      }},\n      "response": {{\n        "end": "{response_end}",\n'
             f'        "values": ',
-            (_int_texts, rec.values, _PAD8),
+            (_int_texts, rec.values, _PAD8, what + ".response.values"),
             "\n      }\n    }"]
 
 
@@ -291,15 +305,15 @@ def _unveil_parts(i: int, u: UnveilMessage) -> list:
     _check_ints(u.revealed, what + ".revealed")
     return [f'{{\n      "round": {k},\n      "site": {site},\n'
             f'      "completes_at": "{completes_at}",\n      "revealed": ',
-            (_int_texts, u.revealed, _PAD6),
+            (_int_texts, u.revealed, _PAD6, what + ".revealed"),
             "\n    }"]
 
 
 def _checked_parts(t: Transcript) -> list:
     """The check step: every check the writer makes, before any list is
     formatted.  The file as its parts in order: the text between the long
-    lists, and each pair or residue list as (format, entries, pad) for
-    _emit."""
+    lists, and each pair or residue list as (format, entries, pad, field)
+    for _emit."""
     p = t.params
     alice = _seed_text(t.alice_seed, "seeds.alice")
     bob = _seed_text(t.bob_seed, "seeds.bob")
@@ -334,12 +348,13 @@ def _checked_parts(t: Transcript) -> list:
 
 def _emit(parts: list) -> Iterator[str]:
     """The emit step: each text part as it is, and each long list as one
-    piece per slice of at most _SLICE entries, between its brackets."""
+    piece per slice of at most _SLICE entries, between its brackets.  An
+    entry too long to write raises ValueError naming its list."""
     for part in parts:
         if type(part) is str:
             yield part
             continue
-        texts, entries, pad = part
+        texts, entries, pad, what = part
         if not entries:
             yield "[]"
             continue
@@ -348,7 +363,11 @@ def _emit(parts: list) -> Iterator[str]:
         for s in range(0, len(entries), _SLICE):
             if s:
                 yield sep
-            yield sep.join(texts(entries[s:s + _SLICE]))
+            try:
+                piece = sep.join(texts(entries[s:s + _SLICE]))
+            except ValueError as exc:
+                raise _too_long(what, exc) from None
+            yield piece
         yield f"\n{pad}]"
 
 

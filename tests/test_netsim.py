@@ -479,43 +479,54 @@ class TestPinnedRuns:
     def test_coprime_denominators(self):
         p = ProtocolParams(3, Fraction(7, 3), Fraction(1, 97), Fraction(1, 31),
                            intra_delay=Fraction(1, 101))
-        assert p.clock.scale == 3 * 97 * 31 * 101
         t = simulate(p, 3, 1, 7, 9).transcript
         assert t.aggregation == SpacetimeEvent(Fraction(2077524, 303707), 2)
         assert _sha256(t) == (
             "cd48bb7f68f7e613123e88e008452bb37d261124e6d02a472281b8b452fa4a1f")
 
 
-class TestTickClock:
-    """The simulator's integer clock gives the Fraction geometry exactly."""
+class TestScheduleTimes:
+    """Every instant of a run is the paper's closed form, computed here from
+    the params alone: T = delta_x - 2*delta_t - 3*delta, round k's window
+    [(k-1)T, (k-1)T + delta_t], its answer at the window end plus
+    intra_delay, and a cross-site delay of delta_x - 2*delta."""
 
     @given(valid_params(m=st.integers(2, 3)), st.sampled_from([0, 1, 2]),
            st.integers(1, 4), st.integers(0, 1),
            st.sampled_from([HonestAlice, OffsetGuessAlice]), st.booleans(),
            st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
-    def test_times_match_fraction_geometry(self, base, intra, rounds, bit,
-                                           strategy, dual, seed):
+    def test_times_match_closed_forms(self, base, intra, rounds, bit,
+                                      strategy, dual, seed):
         # the top draw is the largest valid delay, min(2*delta, delta + delta_t)
         p = ProtocolParams(base.m, base.delta_x, base.delta, base.delta_t,
                            intra_delay=min(intra * base.delta,
                                            base.delta + base.delta_t))
+        period = p.delta_x - 2 * p.delta_t - 3 * p.delta
+        cross = p.delta_x - 2 * p.delta
+
+        def window(k):
+            return (k - 1) * period, (k - 1) * period + p.delta_t
+
         alice = strategy()
         res = simulate(p, rounds, bit, seed, seed + 1, strategy=alice,
                        dual_unveil=dual)
         t = res.transcript
         for rec in t.rounds:
-            start, end, _ = round_window(p, rec.round)
-            assert (rec.challenge_start, rec.challenge_end) == (start, end)
-            assert rec.response_end == rec.challenge_end + p.intra_delay
+            assert (rec.challenge_start, rec.challenge_end) == window(rec.round)
+            assert rec.response_end == window(rec.round)[1] + p.intra_delay
+        # each message leaves as a window ends (a challenge) or at its answer
+        sent_at = {window(k)[1] + d for k in range(1, rounds + 1)
+                   for d in (0, p.intra_delay)}
         for msg in res.messages:
-            delay = (p.intra_delay if msg.destination == msg.sent.site
-                     else p.cross_delay)
+            assert msg.sent.time in sent_at
+            delay = p.intra_delay if msg.destination == msg.sent.site else cross
             assert msg.earliest_arrival == msg.sent.time + delay
             assert type(msg.sent.time) is type(msg.earliest_arrival) is Fraction
-        # single and dual unveils complete at round R's answer instant
-        answer = round_window(p, rounds)[1] + p.intra_delay
-        assert answer < unveil_deadline(p, rounds)
+        # single and dual unveils complete at round R's answer instant,
+        # strictly before round R's challenge can reach the other site
+        answer = window(rounds)[1] + p.intra_delay
+        assert answer < (rounds - 1) * period + cross
         for decision in res.decisions:
             assert type(decision.time) is Fraction
             if decision.kind == "unveil":
@@ -525,6 +536,9 @@ class TestTickClock:
         if len(t.rounds) == rounds:
             assert t.rounds[-1].response_end == answer
         if t.abort is None:
+            # round R's answer, relayed to the site opposite round R
+            assert t.aggregation == SpacetimeEvent(
+                answer + p.intra_delay + cross, 2 if rounds % 2 else 1)
             assert t.aggregation == aggregate_event(t)
             assert type(t.aggregation.time) is Fraction
         else:

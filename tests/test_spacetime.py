@@ -139,46 +139,6 @@ class TestRoundWindow:
         assert all(type(t) is Fraction for t in round_window(params_m2, 3))
 
 
-class TestClock:
-    def test_default_geometry_in_ticks(self, params_m2):
-        # denominators 1, 200, 100 and 200 (intra_delay = delta)
-        clock = params_m2.clock
-        assert clock is params_m2.clock
-        assert clock.scale == 200
-        ticks = clock.ticks
-        assert (ticks.delta_x, ticks.delta, ticks.delta_t, ticks.intra_delay,
-                ticks.period, ticks.cross_delay) == (200, 1, 2, 1, 193, 198)
-
-    def test_scale_is_lcm_of_coprime_denominators(self):
-        p = ProtocolParams(2, Fraction(7, 3), Fraction(1, 97), Fraction(1, 31),
-                           intra_delay=Fraction(1, 101))
-        assert p.clock.scale == 3 * 97 * 31 * 101
-
-    def test_each_instant_built_once(self, params_m2):
-        clock = params_m2.clock
-        assert clock.time(7) is clock.time(7) == Fraction(7, 200)
-
-    @given(valid_params(), st.sampled_from([0, 1, 2]))
-    def test_formulas_on_ticks_give_the_fraction_geometry(self, base, intra):
-        # the top draw is the largest valid delay, min(2*delta, delta + delta_t)
-        p = ProtocolParams(base.m, base.delta_x, base.delta, base.delta_t,
-                           intra_delay=min(intra * base.delta,
-                                           base.delta + base.delta_t))
-        clock = p.clock
-        ticks, at = clock.ticks, clock.time
-        for name in ("delta_x", "delta", "delta_t", "intra_delay", "period",
-                     "cross_delay"):
-            assert type(getattr(ticks, name)) is int
-            assert at(getattr(ticks, name)) == getattr(p, name)
-        for k in (1, 2, 5):
-            assert tuple(map(at, round_window(ticks, k))) == round_window(p, k)
-            assert at(unveil_deadline(ticks, k)) == unveil_deadline(p, k)
-            # round k's answer instant, where simulate puts the unveils
-            answer = round_window(ticks, k)[1] + ticks.intra_delay
-            assert at(answer) == round_window(p, k)[1] + p.intra_delay
-            assert at(answer) < unveil_deadline(p, k)
-
-
 class TestRoundSite:
     def test_examples(self):
         assert round_site(1) == 1

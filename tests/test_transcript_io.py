@@ -310,6 +310,20 @@ FAULTS_IN_FILE_ORDER = [
 FAULT_IDS = ["header", "round", "unveil", "aggregation", "abort"]
 
 
+# an int with more digits than CPython's str() converts (4,300 by default),
+# in the check step's fields and in each kind of list the emit step writes
+TOO_LONG = 10 ** 5000
+TOO_LONG_INTEGERS = [
+    (lambda t: with_round(t, 2, round=TOO_LONG), r"rounds\[1\]\.k"),
+    (lambda t: dataclasses.replace(t, bob_seed=TOO_LONG), r"seeds\.bob"),
+    (lambda t: with_m(t, TOO_LONG), r"params\.m"),
+    (lambda t: with_pair(t, 2, 1, (0, TOO_LONG)), r"rounds\[1\]\.challenge\.pairs"),
+    (lambda t: with_value(t, 2, 0, TOO_LONG), r"rounds\[1\]\.response\.values"),
+    (lambda t: with_revealed(t, 1, TOO_LONG), r"unveils\[0\]\.revealed"),
+]
+TOO_LONG_IDS = ["k", "seed", "m", "pair_member", "response_value", "revealed_key"]
+
+
 class TestWriterRefusesNonJson:
     """str() of a bool, None or float in an integer field is not JSON, so
     the writer raises ValueError naming the field instead of writing it;
@@ -359,6 +373,13 @@ class TestWriterRefusesNonJson:
     def test_malformed_pair_named(self, params_m2, pair):
         t = with_pair(simulate(params_m2, 2, 0, 1, 2).transcript, 2, 1, pair)
         with pytest.raises(ValueError, match=r"^rounds\[1\]\.challenge\.pairs\[1\]"):
+            serialize_transcript(t)
+
+    @pytest.mark.parametrize("mutate, field", TOO_LONG_INTEGERS, ids=TOO_LONG_IDS)
+    def test_integer_too_long_named(self, params_m2, mutate, field):
+        t = mutate(simulate(params_m2, 2, 0, 1, 2).transcript)
+        with pytest.raises(ValueError, match="^" + field +
+                           ": integer too long to write: "):
             serialize_transcript(t)
 
     def test_negative_integers_still_written(self, params_m2):
