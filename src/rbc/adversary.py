@@ -4,33 +4,9 @@ The threat model: both Alice agents collude with arbitrary pre-shared
 classical state and relay what they learn at light speed, but the unveiler
 acts strictly before round R's challenge information can reach her site.
 To open the flipped bit she must therefore forge round R's keys against
-pairs she cannot know.
-
-The forged chain is forced: exactly one round-1 key opens the flipped bit,
-which fixes the round-2 target bits, whose keys are again unique, and so on
-(she can compute all of it from rounds 1..R-1, which are in her causal
-view).  Only the round-R positions whose target bit differs from the truth
-are uncertain: each needs a key offset matching the hidden pair's member
-difference, uniform over the N-1 nonzero residues and independent across
-positions.  So the per-position optimum is q = 1/(N-1) in closed form.
-One flipped number forces at the next level the weight of key XOR
-(key + d mod N), with the key uniform and the offset d uniform over the
-nonzero residues.  (key, key + d mod N) is then uniform over ordered
-pairs of distinct residues, and for each first member the XOR maps the
-second one-to-one onto the nonzero m-bit words, so the XOR is uniform over
-those N-1 words and the weight is binomial, P(w) = C(m, w)/(N-1), with
-generating function W(z) = ((1+z)^m - 1)/(N-1).  Flipped numbers draw
-independent keys and pairs, so the round-R weight has generating function
-P_R = W∘…∘W (R-1 copies), and the exact optimum E[q^weight] = P_R(q) is
-evaluated in exact rationals.  W is convex with W(0) = 0 and W(1) = 1, so
-W(z) <= z: the value never increases with R and stays <= 1/(N-1) <= 2/N.
-The implementable strategy guesses those offsets and its Monte Carlo rate
-must converge to the oracle value.
-
-Sum-binding, p0 + p1 <= 1 + eps (Lunghi et al.; Chakraborty, Chailloux and
-Leverrier, PRL 2015), is exactly 1 + optimal_flip_success at R = 1, by a
-best-response enumeration in the tests.  For R >= 2 that is only a lower
-bound (commit honestly, forge the other bit); the exact value is not known.
+pairs she cannot know.  offset_guess_reveal is the implementable forgery:
+its Monte Carlo rate (run_attack) must converge to optimal_flip_success,
+the exact optimum.
 """
 
 from __future__ import annotations
@@ -131,8 +107,7 @@ class OffsetGuessAlice(HonestAlice):
 # ---------------------------------------------------------------------------
 
 # The oracle refuses instances whose value could need a denominator of more
-# than this many bits.  It computes (2,19), (3,12), (4,9), (7,7) and (31,4),
-# each within about 0.2 s.
+# than this many bits.
 _ORACLE_MAX_BITS = 1 << 20
 
 
@@ -154,18 +129,31 @@ def _oracle_bits(m: int, last_round: int) -> int:
 def optimal_flip_success(m: int, last_round: int) -> Fraction:
     """Exact optimal success of a causally constrained unveil forgery.
 
-    Every revealed list that decodes to the flipped bit is forced except at
-    the round-R positions whose target bit differs from the truth, so the
-    per-view optimum is q = 1/(N-1), the per-position optimum, raised to the
-    chain's Hamming weight H, and the value is E[q^H].  A flipped number
-    forces the weight of key XOR (key + d mod N) at the next level, uniform
-    over the N - 1 nonzero m-bit words, so P(w) = C(m, w)/(N-1) and its
-    generating function is W(z) = ((1+z)^m - 1)/(N-1).  Flipped numbers
-    force independent weights, so E[q^H] = W(W(...W(q)...)) with R - 1
-    applications, evaluated in exact rationals.
+    The forged chain is forced: exactly one round-1 key opens the flipped
+    bit, which fixes the round-2 target bits, whose keys are again unique,
+    and so on, all computable from rounds 1..R-1, which are in the
+    unveiler's causal view.  Only the round-R positions whose target bit
+    differs from the truth are uncertain: each needs a key offset matching
+    the hidden pair's member difference, uniform over the N-1 nonzero
+    residues and independent across positions, so the per-position optimum
+    is q = 1/(N-1).  The value is E[q^H], H the chain's Hamming weight.
 
+    One flipped number forces at the next level the weight of key XOR (key
+    + d mod N), with the key uniform and d uniform over the nonzero
+    residues.  (key, key + d mod N) is then uniform over ordered pairs of
+    distinct residues, and for each first member the XOR maps the second
+    one-to-one onto the N-1 nonzero m-bit words, so the weight is binomial,
+    P(w) = C(m, w)/(N-1), with generating function W(z) = ((1+z)^m -
+    1)/(N-1).  Flipped numbers force independent weights, so E[q^H] =
+    W(W(...W(q)...)) with R - 1 applications, evaluated in exact rationals.
     W is convex with W(0) = 0 and W(1) = 1, so W(z) <= z on [0, 1]: the
     value never increases with R and stays <= 1/(N-1) <= 2/N.
+
+    Sum-binding, p0 + p1 <= 1 + eps (Lunghi et al.; Chakraborty, Chailloux
+    and Leverrier, PRL 2015), is exactly 1 + this value at R = 1, by a
+    best-response enumeration in the tests.  For R >= 2 that is only a
+    lower bound (commit honestly, forge the other bit); the exact value is
+    not known.
 
     Raises OracleBudgetError when _oracle_bits(m, R) exceeds 2^20.
     """

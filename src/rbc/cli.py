@@ -84,9 +84,8 @@ def _params(args) -> ProtocolParams:
 
 def verdict_to_json_obj(verdict: Verdict) -> dict:
     """The verdict as JSON.  aggregation_time is the exact_str text of the
-    aggregation time while it is printable (numerator and denominator
-    within 4,096 bits, which every parsed file gives), and shown_time's
-    "about 2^k" magnitude past that."""
+    aggregation time while it is printable (every parsed file's is), and
+    shown_time's "about 2^k" magnitude past that."""
     issued_at = verdict.issued_at
     return {
         "outcome": verdict.outcome,
@@ -124,14 +123,12 @@ def _cmd_run(args) -> int:
     # every field is checked here, so a refused transcript writes nothing
     pieces = transcript_pieces(result.transcript)
     if args.out == "-":
-        for piece in pieces:
-            sys.stdout.write(piece)
+        sys.stdout.writelines(pieces)
     else:
         try:
             # newline="\n" writes the file's own bytes on every platform
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                for piece in pieces:
-                    fh.write(piece)
+                fh.writelines(pieces)
         except OSError as exc:
             print(f"cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -5,29 +5,18 @@ pair[b] == n_b.  A single bit b is committed against it by returning
 n_b + key mod N, where the key is a one-time uniform residue from the
 pre-shared random tape.  Because the key is uniform, the response is
 uniform whichever bit was chosen (exact hiding); because n0 != n1, a
-revealed key decodes to at most one bit (the basis of binding).
+revealed key decodes to at most one bit (the basis of binding).  Pairs
+within one round are sampled independently, so the same pair may repeat
+across positions; distinctness inside each pair is required in every round.
 
-Round k commits the binary forms of the keys consumed in round k-1, each
-key least significant bit first and m bits long (binary_forms, also the
-expansion the forged chain uses), so the tape is consumed in segments of
-size m**(k-1).  The tape rule lives here and nowhere else:
-tape_consumed(m, R) is the geometric sum of the segment sizes, and
-RandomTape.segment(k, m) is the slice that ends there.  The verifier turns
-a decoded round's bits back into the previous round's keys with
-from_binary_forms, the list-level inverse: one reversed digit text for the
-whole round and one int(..., 2) per key.  Tape indices are 0-based
-internally; external documentation counts entries from 1.  Pairs within
-one round are sampled independently, so the same pair may repeat across
-positions; distinctness inside each pair is required in every round.
+Round k commits the binary forms of the keys consumed in round k-1, so
+the tape is consumed in segments of m**(k-1) keys.  The tape rule lives
+here and nowhere else: tape_consumed and RandomTape.segment.  Tape
+indices are 0-based.
 
 The arithmetic runs unchecked on residues in [0, N), bits in {0, 1} and
 pairs of exactly two members: inputs are checked once where they enter,
-in the simulator and in the verifier's shape check.  One residue
-predicate, first_non_residue, serves the simulator (a strategy's
-values), the verifier (values and reveals against N) and the transcript
-reader (values, reveals and pair members, lower bound only).  The
-verifier's pair loop inlines it, because it must also find equal members
-and name the first fault in walk order.
+in the simulator and in the verifier's shape check.
 """
 
 from __future__ import annotations
@@ -81,7 +70,12 @@ def first_non_residue(values: Sequence[int],
     with no modulus, only the lower bound 0 is enforced.
 
     A residue's type must be exactly int, so bool and other int subclasses
-    are refused.  The all-valid case is settled by C-level passes.
+    are refused.  The all-valid case is settled by C-level passes.  The one
+    residue predicate: for the simulator (a strategy's values), the
+    verifier (values and reveals against N) and the transcript reader
+    (values, reveals and pair members, lower bound only).  The verifier's
+    pair loop inlines it, because it must also find equal members and
+    name the first fault in walk order.
     """
     if not values or ({*map(type, values)} == {int} and min(values) >= 0
                       and (modulus is None or max(values) < modulus)):
@@ -110,7 +104,8 @@ def decode_one(response: int, pair: tuple[int, int], key: int,
 
 def binary_forms(values: Sequence[int], m: int) -> list[int]:
     """The bits of each value, least significant first and m per value,
-    concatenated.  Every value must lie in [0, 2**m)."""
+    concatenated: a round's payload, and the expansion the forged chain
+    uses.  Every value must lie in [0, 2**m)."""
     if values and not (0 <= min(values) and max(values) < 1 << m):
         raise ValueError(f"values in [{min(values)}, {max(values)}] out of "
                          f"range for {m} bits")

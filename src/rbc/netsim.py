@@ -7,29 +7,9 @@ exactly delta_x - 2*delta, the physical minimum and the security worst
 case; a same-site one takes the configured intra_delay, default delta).
 A strategy is invoked with a CausalView containing exactly the messages
 that have arrived at its site, so decisions cannot depend on spacelike
-information by construction.
-
-Every instant is fixed in advance, so simulate walks rounds 1..R: round k's
-challenge is logged, then answered as it arrives, at the end of its window
-plus intra_delay.  The unveils share round R's answer instant; there site 1
-acts before site 2, and at one site the unveil precedes the answer.  The
-aggregation is read off the same schedule: round R's answer, relayed to
-the primary unveiler's site.  aggregate_event is the one rule over a
-transcript's completions, and the verifier recomputes it.  The order rests
-on valid geometry: delta_t + 2*delta < T puts each answer before the next
-challenge, intra_delay <= delta + delta_t puts it by its response
-deadline, and delta_t + 4*delta < delta_x puts the unveil before its causal
-deadline.  The schedule is computed in exact Fractions on a geometry's
-first run of R rounds and shared by its later runs: its steps, each
-decision's view positions and its events, so the events in
-SimResult.messages are shared immutable objects.  A run builds only what
-its seeds decide, and identical seeds give identical transcripts, byte
-for byte.  Every strategy is treated alike: each answer is logged at its
-own site and relayed to the twin site, and the answer and the unveil are
-one decision step, so malformed output or a view that lacks what the
-strategy needs (a LookupError) ends the run as a transcript abort for
-either, not an exception.  Only protocol messages are modelled; channel
-tests run before the protocol starts are outside it.
+information by construction.  Identical seeds give identical transcripts,
+byte for byte.  Only protocol messages are modelled; channel tests run
+before the protocol starts are outside it.
 """
 
 from __future__ import annotations
@@ -196,14 +176,16 @@ def _validate_values(values, count: int, modulus: int, what: str) -> tuple[int, 
 
 
 def _schedule(params: ProtocolParams, rounds: int, dual_unveil: bool):
-    """The walk of every run of `rounds` rounds at this geometry, built on
-    the first and kept on the params: its steps in order, each (kind, site,
-    round, time, window, shown, sends), then the aggregation event.  window
-    is a response's (challenge_start, challenge_end); shown holds the log
-    positions of a decision's view, found by causal_view over a log whose
-    payloads are the positions; sends holds (sent, destination,
-    earliest_arrival) per logged message, which arrives one intra_delay
-    later at its own site, cross_delay later at the other.
+    """The walk of every run of `rounds` rounds at this geometry, built in
+    exact Fractions on the first and kept on the params, so the events in
+    SimResult.messages are shared immutable objects: its steps in order,
+    each (kind, site, round, time, window, shown, sends), then the
+    aggregation event.  window is a response's (challenge_start,
+    challenge_end); shown holds the log positions of a decision's view,
+    found by causal_view over a log whose payloads are the positions;
+    sends holds (sent, destination, earliest_arrival) per logged message,
+    which arrives one intra_delay later at its own site, cross_delay later
+    at the other.
     """
     schedule = params._schedules.get((rounds, dual_unveil))
     if schedule is not None:
@@ -246,13 +228,19 @@ def simulate(params: ProtocolParams, rounds: int, bit: int, alice_seed: int,
              bob_seed: int, *, strategy=None, dual_unveil: bool = False) -> SimResult:
     """Run rounds 1..R plus unveiling under an Alice strategy object.
 
-    Honest Bob agents always follow the schedule: round k's challenge
-    transmission occupies [(k-1)T, (k-1)T + delta_t] at round_site(k), and
-    Alice's reply completes the instant the challenge arrives.  The unveils
-    complete at round R's answer instant, and the aggregation follows it by
-    intra_delay + cross_delay; strategies choose only data.
-    Params with problems() are refused: the walk's order holds only for
-    valid geometry.  So is a run that would draw more than MAX_TAPE_KEYS
+    Every instant is fixed by _schedule; strategies choose only data, and
+    a run builds only what its seeds decide.  Every strategy is treated
+    alike: each answer is logged at its own site and relayed to the twin
+    site, and the answer and the unveil are one decision step, so
+    malformed output or a view that lacks what the strategy needs (a
+    LookupError) ends the run as a transcript abort for either, not an
+    exception.
+
+    Params with problems() are refused, as the walk's order holds only for
+    valid geometry: delta_t + 2*delta < T puts each answer before the next
+    challenge, intra_delay <= delta + delta_t puts it by its response
+    deadline, and delta_t + 4*delta < delta_x puts the unveil before its
+    causal deadline.  So is a run that would draw more than MAX_TAPE_KEYS
     tape keys.  strategy=None plays HonestAlice().
     """
     problems = params.problems()

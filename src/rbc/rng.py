@@ -2,23 +2,15 @@
 
 Every random choice in the simulator flows from explicit 64-bit seeds
 expanded by splitmix64, a small public mixing function that is trivial to
-reimplement in any language.  Transcript files record the generator id so
-they are self-describing.
+reimplement in any language, through labelled streams (derive_seed).
 
-Derived streams are labelled: ``derive_seed(seed, "bob", 1, 3)`` gives the
-stream for Bob's site-1 round-3 pairs, independent of call order and of
-anything Alice sends.
-
-A run at m=10, R=6 draws 333,333 words, so ``Stream`` also draws many
-words at once.  The lane kernel (``Stream.u64s``) computes up to ``_LANES``
+The lane kernel (_mix_block, under Stream.u64s) computes up to _LANES
 outputs inside one Python int.  Lane i is 128 bits wide and its low 64
 bits hold the i-th state after the current one; the high 64 bits stay free.
 splitmix64 is exact on such a packed int because no step carries across a
 lane: a 64-bit by 64-bit product is below 2**128, and masking each lane to
 its low 64 bits after each xor-shift drops the bits a right shift brings
-down from the next lane.  The batch draws built on it (``belows``,
-``distinct_pairs``) return exactly what the scalar calls would, and leave
-the state where they would.
+down from the next lane.
 """
 
 from __future__ import annotations
@@ -84,16 +76,14 @@ def _mix_block(state: int, lanes: int) -> list[int]:
     return words[0::2].tolist()
 
 
-def _fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
-
-
 @lru_cache(maxsize=1024)
 def _label_hash(text: str) -> int:
-    return _fnv1a64(text.encode("utf-8"))
+    """64-bit FNV-1a of the text's UTF-8 bytes, memoised (at most 1,024
+    texts)."""
+    h = _FNV_OFFSET
+    for b in text.encode("utf-8"):
+        h = ((h ^ b) * _FNV_PRIME) & _MASK64
+    return h
 
 
 def derive_seed(seed: int, *labels: object) -> int:
@@ -101,7 +91,8 @@ def derive_seed(seed: int, *labels: object) -> int:
 
     Labels (ints or strings) are folded in via FNV-1a over their canonical
     text, then avalanche-mixed, so distinct label tuples give unrelated
-    streams.  The hash of a label's text is memoised (at most 1,024 texts).
+    streams: derive_seed(seed, "bob", 1, 3) seeds Bob's site-1 round-3
+    pairs, independent of call order and of anything Alice sends.
     """
     state = seed & _MASK64
     for label in labels:

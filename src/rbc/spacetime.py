@@ -9,13 +9,12 @@ never appear, only site ids 1 and 2.
 Rounds repeat with period ``T = delta_x - 2*delta_t - 3*delta``, alternating
 sites, sized so that each round's response completes outside the future
 light cone of the other site's concurrent activity.  Every quantity is an
-exact ``Fraction``; deadline comparisons are exact, with "completes strictly
-before" semantics at light-cone bounds.
+exact ``Fraction``, so every comparison is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Union
@@ -76,8 +75,8 @@ _SHOWN_BITS = 4096
 
 
 def printable(value: Fraction) -> bool:
-    """Whether messages print a time in full: its numerator and denominator
-    both fit in 4,096 bits.  str, repr and exact_str all succeed then."""
+    """Whether messages print a time in full, as str, repr and exact_str
+    all succeed: its numerator and denominator both fit in _SHOWN_BITS."""
     return (value.numerator.bit_length() <= _SHOWN_BITS
             and value.denominator.bit_length() <= _SHOWN_BITS)
 
@@ -108,16 +107,13 @@ class ProtocolParams:
     delta_x: Fraction
     delta: Fraction
     delta_t: Fraction
-    intra_delay: Fraction = field(default=None)  # type: ignore[assignment]
+    intra_delay: Fraction
 
     def __init__(self, m: int, delta_x: Scalar, delta: Scalar, delta_t: Scalar,
                  intra_delay: Scalar | None = None):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "delta_x", as_exact(delta_x))
-        object.__setattr__(self, "delta", as_exact(delta))
-        object.__setattr__(self, "delta_t", as_exact(delta_t))
-        object.__setattr__(self, "intra_delay", self.delta if intra_delay is None
-                           else as_exact(intra_delay))
+        delta_x, delta, delta_t = map(as_exact, (delta_x, delta, delta_t))
+        self._set(m, delta_x, delta, delta_t,
+                  delta if intra_delay is None else as_exact(intra_delay))
         problems = self.problems()
         if problems:
             raise GeometryError("; ".join(problems))
@@ -128,12 +124,13 @@ class ProtocolParams:
         """Build without invariant checks (for parsed transcripts; the
         verifier re-runs problems() and rejects instead of raising)."""
         self = object.__new__(ProtocolParams)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "delta_x", delta_x)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "delta_t", delta_t)
-        object.__setattr__(self, "intra_delay", intra_delay)
+        self._set(m, delta_x, delta, delta_t, intra_delay)
         return self
+
+    def _set(self, *values) -> None:
+        """Set the five fields of the frozen instance, in declaration order."""
+        for f, value in zip(fields(self), values):
+            object.__setattr__(self, f.name, value)
 
     @property
     def modulus(self) -> int:
@@ -246,7 +243,8 @@ def round_site(k: int) -> int:
 
 
 def round_window(params: ProtocolParams, k: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Timing window of round k: (challenge_start, challenge_end, response_end).
+    """Timing window of round k: (challenge_start, challenge_end,
+    response_end) = ((k-1)T, (k-1)T + delta_t, (k-1)T + delta + 2*delta_t).
 
     The challenge transmission must lie within [challenge_start,
     challenge_end] and the response must complete by response_end, both

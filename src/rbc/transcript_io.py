@@ -4,79 +4,21 @@ The transcript is the audit artifact, so the format is bit-exact: residues
 are JSON integers, every time is the canonical exact string of a rational
 (see exact_str), and the writer always emits fields in one fixed order.
 Serializing, parsing, and re-serializing any transcript reproduces the
-file byte for byte.
+file byte for byte, and the writer never emits a file that the reader
+refuses for a type, a time or a header range.
 
-The writer emits exactly json.dumps(obj, indent=2) + "\n" of the file's
-JSON object, without the pure-Python encoder that indent selects: one
-encoder builds every line by hand, with str.join and f-strings at the
-fixed indent of each nesting level.  Integers are written with str(),
-which is what json.dumps writes for an int; anything else in an integer
-field (a residue, k, a round's or an unveil's site, params.m, a seed) such
-as a bool, None or a float raises ValueError naming the field, found by
-one C-level type pass over each list.  So does an int with more digits
-than CPython's str() converts (4,300 by default): a header, round or
-unveil integer in the check step, a list entry in the emit step, where
-the ValueError names its list.  The aggregation's site needs no
-guard: SpacetimeEvent holds only the int 1 or 2.  A seed may also be
-None, written null.  The header's integers are held to the reader's own
-bounds: a seed in [0, 2**64) and m in [0, MAX_M], or ValueError names
-seeds.alice, seeds.bob or params.m.  Residues are not: a negative residue
-is written, and the reader refuses it.  Times are exact_str text, which
-needs no escaping.  The abort must be None or a
-string, and json.dumps escapes it, the writer's only use of json; the
-tests keep the plain json.dumps writer as the reference.  Every time is
-written through one helper that raises ValueError, naming the field, for
-a time longer than the parser accepts.  So the writer never emits a file
-that the parser refuses for a type, a time or a header range.
-
-The writer works in two steps.  The check step makes every check above
-but the list entries' digit limit, in file order (the header, each
-round, the unveils, the aggregation, the abort; within a round its three
-times before its two lists), before any list is formatted, and returns
-the small field texts with the long lists left in place.  The emit step
-is a generator that yields the file in order: the text between the lists
-as it is, and each pair or residue list as one piece per slice of at
-most 4,096 entries.  It raises no ValueError for any transcript the check
-step passed, except for a list entry past that digit limit, which no
-residue below 2**64 nears.
-transcript_pieces runs the check step and returns the emit step, so
-`rbc run` writes the pieces straight to its file and leaves no file when a
-field is refused; serialize_transcript joins them once.  Its peak is then
-the pieces plus their join, 2.0 times the text at m=10, R=6, and
-`rbc run` never holds the whole text.
-
-The header names the seed-expansion generator, making files
-self-describing, and records the run seeds when known; a file naming any
-other generator is refused.  Parsing validates structure and types only;
-semantic checks (ranges against the modulus, params invariants, timing)
-belong to the verifier, so a tampered but well-formed file parses and is
-then rejected with a precise reason.
-
-A time string is accepted only in the form exact_str writes, which gives
-each time exactly one spelling: a bare integer with no leading zeros and
-no "-0", a minimal-digit decimal with no trailing zero, or a reduced "p/q"
-whose denominator has a prime factor other than 2 and 5.  No exponents and
-no whitespace.  The shape and a cap of 256 characters are checked before
-any number is built, so parse cost is bounded by file size.  Residue lists
-are checked by codec.first_non_residue with no upper bound, which settles
-a valid list by C-level passes and walks it only to name the first bad
-entry; the reader refuses a non-integer or a negative residue, and the
-verifier one of N or more.
+The writer builds every line by hand at the fixed indent of each nesting
+level, in two steps: _checked_parts makes every check, then _emit yields
+the text.  The reader checks structure and types only; semantic checks
+(ranges against the modulus, params invariants, timing) belong to the
+verifier, so a tampered but well-formed file parses and is then rejected
+with a precise reason.
 
 Every instant of a run is a closed-form function of the params and the
-round index, so the transcripts of one geometry repeat their time texts,
-and the reader keeps two bounded caches.  Each distinct time text is read
-once per process (an LRU cache of 1,024 texts); a refused text raises, is
-never cached, and is checked again each time.  Each distinct geometry, m
-and the four params texts, gets one ProtocolParams per process (an LRU
-cache of 64), so the verifier's derived values (problems(), the period,
-the round windows) are computed once per geometry, not once per file.
-Both gain only when texts repeat within one process: a cold `rbc verify`
-reads each text once either way, and a miss costs what an uncached read
-does.
-
-The seeds are metadata: verify never checks them against the rounds or the
-unveils, so a file's seeds need not reproduce it.
+round index, so the files of one geometry repeat their time texts, and
+the reader keeps two bounded caches: _parse_time and _params.  Both gain
+only when texts repeat within one process: a cold `rbc verify` reads each
+text once either way, and a miss costs what an uncached read does.
 """
 
 from __future__ import annotations
@@ -94,8 +36,12 @@ from .netsim import RoundRecord, Transcript
 from .rng import GENERATOR_ID
 from .spacetime import ProtocolParams, SpacetimeEvent, exact_str
 
-FORMAT_NAME = "rbc-transcript"
-FORMAT_VERSION = "1"
+# The fixed header: each key and the one value a file may hold.  The
+# generator names the seed expansion, so a file is self-describing.
+_HEADER = (("format", "rbc-transcript"), ("version", "1"),
+           ("generator", GENERATOR_ID))
+# the params fields that hold a time, in file order
+_TIME_KEYS = ("delta_x", "delta", "delta_t", "intra_delay")
 
 
 class TranscriptFormatError(ValueError):
@@ -125,8 +71,15 @@ _SLICE = 4096
 
 @lru_cache(maxsize=1024)
 def _parse_time(text: str) -> Fraction:
-    """The time a text spells, each distinct text read once per process.
-    A refused text raises, and an exception is never cached."""
+    """The time a text spells, accepted only as exact_str writes it, which
+    gives each time one spelling: a bare integer with no leading zeros and
+    no "-0", a minimal-digit decimal with no trailing zero, or a reduced
+    "p/q" whose denominator has a prime factor other than 2 and 5.  No
+    exponents and no whitespace.  The shape and the length cap are checked
+    before any number is built, so parse cost is bounded by file size.
+    Each distinct text is read once per process (an LRU cache of 1,024
+    texts); a refused text raises, is never cached, and is checked again
+    each time."""
     if len(text) > _MAX_TIME_CHARS or not _TIME_SHAPE.fullmatch(text):
         raise TranscriptFormatError(f"bad time string {text[:40]!r}: expected "
                                     f"an integer, decimal or p/q of at most "
@@ -142,9 +95,10 @@ def _parse_time(text: str) -> Fraction:
 
 @lru_cache(maxsize=64)
 def _params(m: int, *time_texts: str) -> ProtocolParams:
-    """One params object per (m, four time texts), so the verifier's derived
-    geometry is computed once per geometry.  Keyed on the texts, which hash
-    much faster than the four Fractions."""
+    """One params object per (m, four time texts) per process (an LRU cache
+    of 64), so the verifier's derived values (problems(), the period, the
+    round windows) are computed once per geometry, not once per file.
+    Keyed on the texts, which hash much faster than the four Fractions."""
     return ProtocolParams.unchecked(m, *map(_parse_time, time_texts))
 
 
@@ -163,6 +117,9 @@ def _require(obj: dict, key: str, kind, what: str):
 
 
 def _optional_seed(seeds: dict, key: str) -> Optional[int]:
+    """A seed: null or an integer in [0, 2**64).  The seeds are metadata:
+    verify never checks them against the rounds or the unveils, so a
+    file's seeds need not reproduce it."""
     value = seeds.get(key)
     if value is not None and (type(value) is not int or not 0 <= value < _SEED_LIMIT):
         raise TranscriptFormatError(f"seeds.{key}: expected an integer in "
@@ -171,6 +128,9 @@ def _optional_seed(seeds: dict, key: str) -> Optional[int]:
 
 
 def _int_list(values: list, what: str) -> tuple[int, ...]:
+    """A residue list, checked by codec.first_non_residue with no upper
+    bound: the reader refuses a non-integer or a negative residue, and the
+    verifier one of N or more."""
     j = first_non_residue(values)
     if j is not None:
         raise TranscriptFormatError(f"{what}: residues must be non-negative "
@@ -192,7 +152,8 @@ def _pairs(raw_pairs: list, what: str) -> tuple[tuple[int, int], ...]:
 
 
 def _time_text(value: Fraction, field: str) -> str:
-    """exact_str(value), refused when the parser would refuse the file."""
+    """exact_str(value), which needs no JSON escaping; ValueError names the
+    field of a time longer than the parser accepts."""
     try:
         text = exact_str(value)
     except ValueError:  # more digits than CPython converts to text
@@ -210,9 +171,10 @@ def _too_long(what: str, exc: ValueError) -> ValueError:
 
 
 def _int_text(value, what: str) -> str:
-    """str(value), which is JSON only for an exact int: a bool, None or
-    float would write True, None or 1.5, so those raise ValueError, and so
-    does an int with more digits than CPython converts to text."""
+    """str(value), which is what json.dumps writes for an int and is JSON
+    only for an exact int: a bool, None or float would write True, None or
+    1.5, so those raise ValueError naming the field, and so does an int
+    with more digits than CPython's str() converts (4,300 by default)."""
     if type(value) is not int:
         raise ValueError(f"{what}: expected an integer, got {value!r}")
     try:
@@ -222,7 +184,8 @@ def _int_text(value, what: str) -> str:
 
 
 def _seed_text(value, what: str) -> str:
-    """A seed as the reader takes it: null, or an integer in [0, 2**64)."""
+    """A seed as the reader takes it: None, written null, or an integer in
+    [0, 2**64); ValueError names the field otherwise."""
     if value is None:
         return "null"
     text = _int_text(value, what)
@@ -235,7 +198,9 @@ def _seed_text(value, what: str) -> str:
 def _check_ints(values, what: str) -> None:
     """_int_text's ValueError for the first entry that is not an int; one
     C-level pass types the whole list, and only when it fails is the list
-    walked to name the entry."""
+    walked to name the entry.  Residues are not held to a range: a negative
+    residue is written, and the reader refuses it.  A list of ints is not
+    converted here, so _emit meets their digit limit."""
     if not {*map(type, values)} <= _INT:
         for j, v in enumerate(values):
             _int_text(v, f"{what}[{j}]")
@@ -310,10 +275,13 @@ def _unveil_parts(i: int, u: UnveilMessage) -> list:
 
 
 def _checked_parts(t: Transcript) -> list:
-    """The check step: every check the writer makes, before any list is
-    formatted.  The file as its parts in order: the text between the long
-    lists, and each pair or residue list as (format, entries, pad, field)
-    for _emit."""
+    """The check step: every check the writer makes but the list entries'
+    digit limit, in file order (the header, each round, the unveils, the
+    aggregation, the abort; within a round its three times before its two
+    lists), before any list is formatted.  The header's integers are held
+    to the reader's bounds: a seed to [0, 2**64) and m to [0, MAX_M].  The
+    file as its parts in order: the text between the long lists, and each
+    pair or residue list as (format, entries, pad, field) for _emit."""
     p = t.params
     alice = _seed_text(t.alice_seed, "seeds.alice")
     bob = _seed_text(t.bob_seed, "seeds.bob")
@@ -322,25 +290,23 @@ def _checked_parts(t: Transcript) -> list:
         raise ValueError(f"params.m: m={p.m} outside the supported range "
                          f"[0, {MAX_M}]")
     modulus = _int_text(p.modulus, "params.modulus")
-    delta_x = _time_text(p.delta_x, "params.delta_x")
-    delta = _time_text(p.delta, "params.delta")
-    delta_t = _time_text(p.delta_t, "params.delta_t")
-    intra_delay = _time_text(p.intra_delay, "params.intra_delay")
+    times = "".join(f',\n    "{key}": '
+                    f'"{_time_text(getattr(p, key), "params." + key)}"'
+                    for key in _TIME_KEYS)
     rounds = _objects([_round_parts(i, rec) for i, rec in enumerate(t.rounds)], "  ")
     unveils = _objects([_unveil_parts(i, u) for i, u in enumerate(t.unveils)], "  ")
     aggregation = "null"
     if t.aggregation is not None:
         time = _time_text(t.aggregation.time, "aggregation.time")
-        site = str(t.aggregation.site)
+        site = str(t.aggregation.site)  # SpacetimeEvent holds only 1 or 2
         aggregation = f'{{\n    "time": "{time}",\n    "site": {site}\n  }}'
+    # json.dumps escapes the abort, the writer's only use of json
     if t.abort is not None and not isinstance(t.abort, str):
         raise ValueError(f"abort: expected a string or None, got {t.abort!r}")
-    return [f'{{\n  "format": "{FORMAT_NAME}",\n  "version": "{FORMAT_VERSION}",\n'
-            f'  "generator": "{GENERATOR_ID}",\n'
+    header = "".join(f'  "{key}": "{value}",\n' for key, value in _HEADER)
+    return [f'{{\n{header}'
             f'  "seeds": {{\n    "alice": {alice},\n    "bob": {bob}\n  }},\n'
-            f'  "params": {{\n    "m": {m},\n    "modulus": {modulus},\n'
-            f'    "delta_x": "{delta_x}",\n    "delta": "{delta}",\n'
-            f'    "delta_t": "{delta_t}",\n    "intra_delay": "{intra_delay}"\n  }},\n'
+            f'  "params": {{\n    "m": {m},\n    "modulus": {modulus}{times}\n  }},\n'
             f'  "rounds": ',
             *rounds, ',\n  "unveils": ', *unveils,
             f',\n  "aggregation": {aggregation},\n  "abort": {json.dumps(t.abort)}\n}}\n']
@@ -348,8 +314,10 @@ def _checked_parts(t: Transcript) -> list:
 
 def _emit(parts: list) -> Iterator[str]:
     """The emit step: each text part as it is, and each long list as one
-    piece per slice of at most _SLICE entries, between its brackets.  An
-    entry too long to write raises ValueError naming its list."""
+    piece per slice of at most _SLICE entries, between its brackets.  It
+    raises no ValueError for parts _checked_parts returned, except for a
+    list entry past CPython's digit limit, which no residue below 2**64
+    nears; that ValueError names its list."""
     for part in parts:
         if type(part) is str:
             yield part
@@ -382,11 +350,14 @@ def transcript_pieces(t: Transcript) -> Iterator[str]:
 
 def serialize_transcript(t: Transcript) -> str:
     """The transcript's file text, byte for byte json.dumps(obj, indent=2)
-    plus a newline; ValueError names a field the reader would refuse."""
+    plus a newline, the pieces joined once; ValueError names a field the
+    reader would refuse."""
     return "".join(transcript_pieces(t))
 
 
 def parse_transcript(text: str) -> Transcript:
+    """The transcript a file text holds; TranscriptFormatError names the
+    first fault in file order."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -395,13 +366,9 @@ def parse_transcript(text: str) -> Transcript:
         raise TranscriptFormatError(f"not JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise TranscriptFormatError("top level must be an object")
-    if obj.get("format") != FORMAT_NAME:
-        raise TranscriptFormatError(f"unrecognized format {obj.get('format')!r}")
-    if obj.get("version") != FORMAT_VERSION:
-        raise TranscriptFormatError(f"unrecognized version {obj.get('version')!r}")
-    if obj.get("generator") != GENERATOR_ID:
-        raise TranscriptFormatError(f"unrecognized generator "
-                                    f"{obj.get('generator')!r}")
+    for key, value in _HEADER:
+        if obj.get(key) != value:
+            raise TranscriptFormatError(f"unrecognized {key} {obj.get(key)!r}")
 
     p = _require(obj, "params", dict, "transcript")
     m = _require(p, "m", int, "params")
@@ -414,7 +381,7 @@ def parse_transcript(text: str) -> Transcript:
     # each text is read in field order before the lookup, so the first
     # fault named is the first in the file
     time_texts = []
-    for key in ("delta_x", "delta", "delta_t", "intra_delay"):
+    for key in _TIME_KEYS:
         text = _require(p, key, str, "params")
         _parse_time(text)
         time_texts.append(text)

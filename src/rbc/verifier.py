@@ -1,19 +1,14 @@
 """Bob's acceptance logic.
 
 Verification trusts nothing but the transcript: params are re-validated,
-every count and residue is re-checked, every event is tested against its
-round window, the unveil against its strict causal deadline, and finally
-the unveiled keys are chained backwards, round R down to round 1, to
-recover the committed bit.
-
-Checks run in a fixed order (params, shape, timing, aggregation, decode)
-so the reject reason for a given transcript is deterministic: the reported
-reason is the first failure.  Window endpoints are inclusive ("completed
-by" semantics); the unveil deadline is strict, the conservative choice at a
-light-cone bound.  A verdict is timestamped at the aggregation event, the
-earliest moment Bob actually holds all the data in one place; the file's
-recorded aggregation must be that event, or the transcript is rejected as
-a timing violation.
+every count and residue is re-checked, every time is tested against its
+bound (round_window, unveil_deadline), and the unveiled keys are decoded
+back to the committed bit (backward_decode).  Checks run in a fixed order
+(params, shape, timing, aggregation, decode), so the reported reason is
+the first failure.  A verdict is timestamped at the aggregation event,
+the earliest moment Bob holds all the data in one place; the file's
+recorded aggregation must be that event, or the transcript is rejected
+as a timing violation.
 """
 
 from __future__ import annotations

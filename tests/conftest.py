@@ -13,6 +13,12 @@ from rbc.rng import derive_seed
 from rbc.spacetime import ProtocolParams
 
 
+def three_sigma(p, n: int) -> float:
+    """Three binomial standard deviations of a rate over n trials whose
+    chance is p: 3 * sqrt(p * (1 - p) / n)."""
+    return 3 * (float(p) * (1 - float(p)) / n) ** 0.5
+
+
 @pytest.fixture
 def params_m2() -> ProtocolParams:
     return ProtocolParams(2, "1", "0.005", "0.01")

@@ -27,7 +27,7 @@ from rbc.spacetime import ProtocolParams, round_window, unveil_deadline
 from rbc.transcript_io import parse_transcript, serialize_transcript
 from rbc.verifier import verify
 
-from conftest import ShortAnswer, decision_view, replay_decisions
+from conftest import ShortAnswer, decision_view, replay_decisions, three_sigma
 from mutations import (EPS, with_pair, with_revealed, with_round, with_unveil,
                        with_value)
 
@@ -127,14 +127,14 @@ def test_criterion_3_binding_vs_oracle():
     params = ProtocolParams(2, "1", "0.005", "0.01")
     oracle = optimal_flip_success(2, 1)
     outcome = run_attack(params, 1, "offset-guess", MC_TRIALS, 2024)
-    sigma = (float(oracle) * (1 - float(oracle)) / MC_TRIALS) ** 0.5
+    tolerance = three_sigma(oracle, MC_TRIALS)
     gap = abs(float(outcome.success_rate) - float(oracle))
     bounded = all(optimal_flip_success(m, r) <= Fraction(2, 1 << m)
                   for m in (2, 3) for r in (1, 2, 3))
-    ok = oracle == Fraction(1, 3) and gap <= 3 * sigma and bounded
+    ok = oracle == Fraction(1, 3) and gap <= tolerance and bounded
     report(3, "binding vs oracle", ok,
            f"oracle 1/3, MC {float(outcome.success_rate):.4f}, "
-           f"gap {gap:.4f} <= 3sigma {3 * sigma:.4f}, all instances <= 2/N")
+           f"gap {gap:.4f} <= 3sigma {tolerance:.4f}, all instances <= 2/N")
 
 
 def test_criterion_4_capacity_estimate():
@@ -217,7 +217,7 @@ def test_criterion_5_soundness_fuzzing(fuzz_pool):
     value_notes = []
     for m, (trials, accepted) in value_stats.items():
         p = 2 / (1 << m)
-        bound = p + 3 * (p * (1 - p) / trials) ** 0.5
+        bound = p + three_sigma(p, trials)
         rate = accepted / trials
         value_notes.append(f"m={m}: {rate:.3f}<={bound:.3f}")
         if rate > bound:

@@ -15,12 +15,9 @@ from rbc.netsim import simulate
 from rbc.spacetime import ProtocolParams
 from rbc.verifier import verify
 
-from conftest import CommittedBitGuess, decision_view, replay_decisions
+from conftest import (CommittedBitGuess, decision_view, replay_decisions,
+                      three_sigma)
 from mutations import with_unveil
-
-
-def three_sigma(p: Fraction, n: int) -> float:
-    return 3 * (float(p) * (1 - float(p)) / n) ** 0.5
 
 
 # Exhaustive references for the oracle's two pieces: the per-position

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import io
 import json
 import os
 import subprocess
@@ -377,8 +378,9 @@ class _Outcome:
         return {}
 
 
-class _ClosedStdout:
-    """Standard output whose reader has gone, as in rbc verify t.json | head -1."""
+class _ClosedStdout(io.TextIOBase):
+    """Standard output whose reader has gone, as in rbc verify t.json | head -1.
+    A text stream, so its writelines calls write, as sys.stdout's does."""
 
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")

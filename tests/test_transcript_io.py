@@ -375,6 +375,18 @@ class TestWriterRefusesNonJson:
         with pytest.raises(ValueError, match=r"^rounds\[1\]\.challenge\.pairs\[1\]"):
             serialize_transcript(t)
 
+    @pytest.mark.parametrize("key", ["delta_x", "delta", "delta_t", "intra_delay"])
+    def test_long_params_time_named(self, params_m2, key):
+        t = simulate(params_m2, 2, 0, 1, 2).transcript
+        values = {f.name: getattr(t.params, f.name)
+                  for f in dataclasses.fields(t.params)}
+        values[key] = Fraction(1, 3 ** 600)  # a p/q of 289 characters
+        t = dataclasses.replace(t, params=ProtocolParams.unchecked(**values))
+        with pytest.raises(ValueError, match=f"^params\\.{key}: time is longer "
+                           f"than 256 characters, the most a transcript "
+                           f"file holds$"):
+            serialize_transcript(t)
+
     @pytest.mark.parametrize("mutate, field", TOO_LONG_INTEGERS, ids=TOO_LONG_IDS)
     def test_integer_too_long_named(self, params_m2, mutate, field):
         t = mutate(simulate(params_m2, 2, 0, 1, 2).transcript)
@@ -538,6 +550,10 @@ NOT_RESIDUE = "residues must be non-negative integers, got {!r}"
 NOT_PAIR = "rounds[2]: pair {} must be a two-element list"
 
 
+# a change whose value is MISSING deletes the field
+MISSING = object()
+
+
 def put(changes) -> str:
     """File text of PARITY_BASE with each (path, value) change applied."""
     obj = json.loads(json.dumps(PARITY_BASE))
@@ -545,7 +561,10 @@ def put(changes) -> str:
         node = obj
         for key in path[:-1]:
             node = node[key]
-        node[path[-1]] = value
+        if value is MISSING:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
     return json.dumps(obj)
 
 
@@ -592,12 +611,21 @@ def fault_cases():
            [(values + (3,), 1.0), (values + (1,), [1])],
            "rounds[2]: " + NOT_RESIDUE.format([1]))
     # one bad field outside the residue lists
+    for key, foreign in (("format", "json"), ("version", "2"),
+                         ("generator", "mt19937")):
+        for case, bad in (("foreign", foreign), ("null", None), ("int", 7)):
+            yield (f"{key}-{case}", [((key,), bad)],
+                   f"unrecognized {key} {bad!r}")
+    # the first fault in file order is named, across the header and the
+    # params times
+    yield ("version-before-generator",
+           [(("generator",), "mt19937"), (("version",), "2")],
+           "unrecognized version '2'")
+    yield ("bad-delta-before-missing-delta_t",
+           [(("params", "delta_t"), MISSING), (("params", "delta"), "1e5")],
+           "bad time string '1e5': expected an integer, decimal or p/q of "
+           "at most 256 characters")
     yield from [
-        ("generator-foreign", [(("generator",), "mt19937")],
-         "unrecognized generator 'mt19937'"),
-        ("generator-null", [(("generator",), None)],
-         "unrecognized generator None"),
-        ("generator-int", [(("generator",), 7)], "unrecognized generator 7"),
         ("m-65", [(("params", "m"), 65)],
          "m=65 outside the supported range [0, 64]"),
         ("m-negative", [(("params", "m"), -1)],
