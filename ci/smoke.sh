@@ -13,7 +13,9 @@ cd "$work"
 python -m rbc.cli run --m 3 --rounds 3 --bit 1 --alice-seed 7 --bob-seed 9 --out t.json
 python -m rbc.cli verify t.json | tee verdict.json
 python -c 'import json, sys; v = json.load(open("verdict.json")); sys.exit(0 if v["outcome"] == "accept" and v["bit"] == 1 else 1)'
-python -m rbc.cli attack --m 2 --rounds 3 --strategy offset-guess --trials 2000 --seed 5
+# the exact oracle keeps its pinned value on every Python
+python -m rbc.cli attack --m 2 --rounds 3 --strategy offset-guess --trials 2000 --seed 5 | tee attack.json
+python -c 'import json, sys; sys.exit(0 if json.load(open("attack.json"))["oracle_rate_exact"] == "427/2187" else 1)'
 # identical flags write identical bytes
 python -m rbc.cli run --m 3 --rounds 3 --bit 1 --alice-seed 7 --bob-seed 9 --out again.json
 cmp t.json again.json

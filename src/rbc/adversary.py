@@ -16,11 +16,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .agents import round_bits
-from .codec import binary_forms
+from .codec import binary_forms, check_m
 from .netsim import (AlicePrivate, CausalView, HonestAlice, RoundRecord,
                      simulate)
 from .rng import Stream, derive_seed
-from .spacetime import ProtocolParams
+from .spacetime import ProtocolParams, check_round
 from .verifier import verify
 
 
@@ -109,6 +109,9 @@ class OffsetGuessAlice(HonestAlice):
 # The oracle refuses instances whose value could need a denominator of more
 # than this many bits.
 _ORACLE_MAX_BITS = 1 << 20
+# optimal_flip_success composes on a plain integer pair while the next
+# denominator stays within this many bits, then in Fractions.
+_PAIR_MAX_BITS = 1 << 10
 
 
 def _oracle_bits(m: int, last_round: int) -> int:
@@ -146,6 +149,16 @@ def optimal_flip_success(m: int, last_round: int) -> Fraction:
     P(w) = C(m, w)/(N-1), with generating function W(z) = ((1+z)^m -
     1)/(N-1).  Flipped numbers force independent weights, so E[q^H] =
     W(W(...W(q)...)) with R - 1 applications, evaluated in exact rationals.
+
+    The evaluation has two phases.  With x = a/b, one step of W is a' =
+    (a+b)^m - b^m and b' = b^m (N-1).  b is a power of N-1 and a leaves
+    remainder 1 mod N-1, so the plain int pair is in lowest terms.  The
+    early steps run on it, skipping the per-operation overhead of Fraction,
+    while the next denominator stays within _PAIR_MAX_BITS.  Building Fraction(a, b) then
+    costs one gcd, and the bound keeps it small: on the full-size pair of a
+    near-budget instance it would cost more than the integer steps saved.
+    The remaining, large steps run in Fractions.
+
     W is convex with W(0) = 0 and W(1) = 1, so W(z) <= z on [0, 1]: the
     value never increases with R and stays <= 1/(N-1) <= 2/N.
 
@@ -157,13 +170,18 @@ def optimal_flip_success(m: int, last_round: int) -> Fraction:
 
     Raises OracleBudgetError when _oracle_bits(m, R) exceeds 2^20.
     """
-    if m < 2 or last_round < 1:
-        raise ValueError("need m >= 2 and last_round >= 1")
-    bits = _oracle_bits(m, last_round)
+    bits = _oracle_bits(check_m(m), check_round(last_round))
     if bits > _ORACLE_MAX_BITS:
         raise OracleBudgetError(bits, _ORACLE_MAX_BITS)
-    q = x = Fraction(1, (1 << m) - 1)
-    for _ in range(last_round - 1):
+    n1 = (1 << m) - 1
+    a, b = 1, n1
+    steps = last_round - 1
+    while steps and m * (b.bit_length() + 1) <= _PAIR_MAX_BITS:
+        b_m = b ** m
+        a, b = (a + b) ** m - b_m, b_m * n1
+        steps -= 1
+    q, x = Fraction(1, n1), Fraction(a, b)
+    for _ in range(steps):
         x = ((1 + x) ** m - 1) * q
     return x
 

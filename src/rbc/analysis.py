@@ -15,15 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codec import tape_consumed
+from .codec import check_m, tape_consumed
 from .spacetime import ProtocolParams, Scalar, as_exact, check_round, exact_str
 
 
 def round_traffic_bits(m: int, k: int) -> int:
     """Protocol payload bits exchanged in round k: 3 * m * m**(k-1)."""
-    if type(m) is not int or m < 2:
-        raise ValueError(f"m must be an int >= 2, got {m!r}")
-    return 3 * m * m ** (check_round(k) - 1)
+    return 3 * check_m(m) * m ** (check_round(k) - 1)
 
 
 @dataclass(frozen=True)

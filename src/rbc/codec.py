@@ -56,12 +56,18 @@ class RandomTape:
         return self.values[end - m ** (k - 1):end]
 
 
+def check_m(m: int) -> int:
+    """m, refused with ValueError unless it is an int >= 2: bool and float
+    are refused, so every count derived from m is an exact int."""
+    if type(m) is not int or m < 2:
+        raise ValueError(f"m must be an int >= 2, got {m!r}")
+    return m
+
+
 def tape_consumed(m: int, rounds: int) -> int:
     """Total keys used by rounds 1..R: (m**R - 1) / (m - 1), exactly.
     m and R must be ints, so the count and the slices it ends are too."""
-    if type(m) is not int or m < 2:
-        raise ValueError(f"m must be an int >= 2, got {m!r}")
-    return (m ** check_round(rounds) - 1) // (m - 1)
+    return (check_m(m) ** check_round(rounds) - 1) // (m - 1)
 
 
 def first_non_residue(values: Sequence[int],

@@ -89,6 +89,16 @@ def convolution_flip_success(m: int, last_round: int) -> Fraction:
     return sum((p * q ** h for h, p in level_dist.items()), Fraction(0))
 
 
+# Reference for the oracle's two-phase evaluation: the composition
+# W(W(...W(q)...)), W(z) = ((1+z)^m - 1)/(N-1), in Fractions at every step.
+
+def composition_flip_success(m: int, last_round: int) -> Fraction:
+    q = x = Fraction(1, (1 << m) - 1)
+    for _ in range(last_round - 1):
+        x = ((1 + x) ** m - 1) * q
+    return x
+
+
 # The enumerating oracle's fitted cost estimate and its two limits, which
 # set what was computed and what run_attack attached before the size bound.
 ENUMERATION_MAX_OPS = 10 ** 8
@@ -151,6 +161,21 @@ class TestOracle:
     def test_composition_matches_convolution_reference(self, m, rounds):
         assert optimal_flip_success(m, rounds) == convolution_flip_success(m, rounds)
 
+    def test_integer_phase_matches_fraction_composition(self):
+        # a denominator bound of 2^16 bits puts every m up to 31 on both
+        # sides of the 2^10-bit switch from the integer pair to Fractions
+        for m in range(2, 65):
+            rounds = 1
+            while _oracle_bits(m, rounds) <= 1 << 16:
+                assert optimal_flip_success(m, rounds) == \
+                    composition_flip_success(m, rounds), (m, rounds)
+                rounds += 1
+
+    def test_benchmark_grid_matches_fraction_composition(self):
+        for m, rounds in ((6, 1), (6, 2), (5, 5), (3, 7)):
+            assert optimal_flip_success(m, rounds) == \
+                composition_flip_success(m, rounds)
+
     def test_benchmark_grid_fits_default_budget(self):
         for m, rounds in ((6, 1), (6, 2), (5, 5), (3, 7)):
             assert _oracle_bits(m, rounds) <= _ORACLE_MAX_BITS
@@ -187,6 +212,21 @@ class TestOracle:
             optimal_flip_success(1, 1)
         with pytest.raises(ValueError):
             optimal_flip_success(2, 0)
+
+    def test_rejects_float_m(self):
+        with pytest.raises(ValueError, match=r"^m must be an int >= 2, got 2\.0$"):
+            optimal_flip_success(2.0, 3)
+
+    def test_rejects_float_round(self):
+        with pytest.raises(ValueError,
+                           match=r"^round index must be an int >= 1, got 2\.0$"):
+            optimal_flip_success(3, 2.0)
+
+    def test_rejects_bool_round(self):
+        # True == 1 would give the R = 1 value, 1/7
+        with pytest.raises(ValueError,
+                           match=r"^round index must be an int >= 1, got True$"):
+            optimal_flip_success(3, True)
 
 
 class TestForcedChain:
