@@ -154,10 +154,10 @@ def optimal_flip_success(m: int, last_round: int) -> Fraction:
     (a+b)^m - b^m and b' = b^m (N-1).  b is a power of N-1 and a leaves
     remainder 1 mod N-1, so the plain int pair is in lowest terms.  The
     early steps run on it, skipping the per-operation overhead of Fraction,
-    while the next denominator stays within _PAIR_MAX_BITS.  Building Fraction(a, b) then
-    costs one gcd, and the bound keeps it small: on the full-size pair of a
-    near-budget instance it would cost more than the integer steps saved.
-    The remaining, large steps run in Fractions.
+    while the next denominator stays within _PAIR_MAX_BITS.  Building
+    Fraction(a, b) then costs one gcd, and the bound keeps it small: on the
+    full-size pair of a near-budget instance it would cost more than the
+    integer steps saved.  The remaining, large steps run in Fractions.
 
     W is convex with W(0) = 0 and W(1) = 1, so W(z) <= z on [0, 1]: the
     value never increases with R and stays <= 1/(N-1) <= 2/N.
